@@ -1,4 +1,4 @@
-"""Disabled-tracer overhead guard for the sharded + batched paths.
+"""Disabled-tracer overhead guard for the sharded schedule path.
 
 The null-tracer contract promises that a disabled run pays one
 attribute probe per guarded site and nothing else (the REPRO114 lint

@@ -19,8 +19,7 @@ Two claims are on trial:
 Wall times are *recorded*, not asserted: the per-sub-round barriers and
 per-worker IPC are real costs, so sharding wins wall-clock only when
 shards run on real parallel hardware.  The entry records ``cpu_count``
-— and the ``REPRO_BATCH_VERDICTS`` / ``REPRO_SHM`` knob states — so the
-numbers are interpretable; the same convention as the
+so the numbers are interpretable; the same convention as the
 ``sweep_workers4`` bench.
 
 ``REPRO_BENCH_SCALE=smoke`` shrinks the deployment for CI;
@@ -40,9 +39,7 @@ import pytest
 
 from repro.analysis.experiments import run_fig2_vertex_deletion
 from repro.core.scheduler import dcc_schedule
-from repro.cycles.batch import batch_verdicts_enabled
 from repro.network.topologies import geometric_graph
-from repro.parallel.shm import shm_enabled
 from repro.shard import sharded_dcc_schedule
 
 SMOKE = os.environ.get("REPRO_BENCH_SCALE", "full") == "smoke"
@@ -122,8 +119,6 @@ def test_shard_schedule_scale(benchmark, shard_bench_record):
         "sharded_tests": pooled.counters.deletability_tests,
         "redundant_tests": pooled.counters.deletability_tests
         - serial.counters.deletability_tests,
-        "batch_verdicts": batch_verdicts_enabled(),
-        "shm": shm_enabled(),
     }
     shard_bench_record("shard_schedule", entry)
     print()

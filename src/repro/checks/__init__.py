@@ -31,9 +31,8 @@ interleavings on small graphs (:mod:`repro.checks.model`, REPRO22x).
 
 A third front, ``repro-race`` (:mod:`repro.checks.race_cli`), verifies
 the *process-parallel layer's ownership and lifecycle contracts*
-(:mod:`repro.checks.concurrency`, REPRO30x): the shm segment state
-machine (coordinator creates/unlinks, workers attach/copy/drop), the
-pool-boundary channel audit (only compact picklable data crosses), the
+(:mod:`repro.checks.concurrency`, REPRO30x): the pool-boundary
+channel audit (only compact picklable data crosses), the
 fork-inheritance discipline for module-level state, and the declared
 knob registry (:mod:`repro.knobs`).  Its dynamic counterpart is the
 ``REPRO_CHAOS`` order sanitizer in :mod:`repro.parallel.runner`, which

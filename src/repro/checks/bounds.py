@@ -3,10 +3,9 @@
 The paper's correctness and cost arguments are radius arguments: every
 verdict depends only on a ``k = ceil(tau / 2)``-hop neighbourhood
 (Definition 5), floods terminate within a provable TTL radius, shard
-halos are sufficient at exactly ``k`` hops, and the packed verdict
-kernel's layout is sound only inside hard dtype capacities.  This module
-*extracts* those bounds from the source and *proves* them against the
-paper-derived envelope:
+halos are sufficient at exactly ``k`` hops, and the Horton stage cutoffs
+stay inside the verdict ball.  This module *extracts* those bounds from
+the source and *proves* them against the paper-derived envelope:
 
 * **Symbolic radius analysis** (REPRO401-403) — one AST pass over
   ``topology/``, ``shard/``, ``runtime/`` and ``core/`` finds every
@@ -22,11 +21,9 @@ paper-derived envelope:
   flood's initial TTL equals ``radius - 1``
   (:func:`repro.topology.radii.flood_ttl`) with decrement, guard and
   origin-dedup all present.
-* **Packed-kernel capacity analysis** (REPRO405-406) — statically
-  verifies the uint64 width guards, word-count constants, width-class
-  tiling and bit-packed index fields of ``cycles/batch.py`` against the
-  dtype capacities, and the Horton stage-3 cutoffs of
-  ``cycles/kernel.py``/``horton.py`` against ``floor(tau / 2)``.
+* **Stage-cutoff certification** (REPRO405) — the Horton stage-3
+  cutoffs of ``cycles/kernel.py``/``horton.py`` must equal
+  ``floor(tau / 2)``.
 * **Traffic envelopes** (REPRO407) — derives per-round halo-row bounds
   for the shard exchange and per-kind message-send bounds for the
   runtime as functions of ``(n, delta, tau, boundary size)``, and emits
@@ -87,15 +84,8 @@ BOUNDS_RULES: Tuple[Tuple[str, str, str], ...] = (
     ),
     (
         "REPRO405",
-        "packed-capacity",
-        "a packed-kernel width/word-count constant disagrees with the "
-        "uint64 dtype capacity it encodes",
-    ),
-    (
-        "REPRO406",
-        "bypass-threshold",
-        "a packed-path bypass guard does not reference its named "
-        "threshold constant",
+        "stage-cutoff",
+        "a Horton stage-3 BFS cutoff is not the derived floor(tau / 2)",
     ),
     (
         "REPRO407",
@@ -275,7 +265,6 @@ class BoundsManifest:
 
     radius_sites: List[RadiusSite] = field(default_factory=list)
     floods: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    capacities: Dict[str, Any] = field(default_factory=dict)
     envelopes: Dict[str, str] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
@@ -285,7 +274,6 @@ class BoundsManifest:
             "tau_samples": list(TAU_SAMPLES),
             "radius_sites": [s.as_dict() for s in self.radius_sites],
             "floods": dict(sorted(self.floods.items())),
-            "capacities": dict(sorted(self.capacities.items())),
             "envelopes": dict(sorted(self.envelopes.items())),
         }
 
@@ -326,7 +314,7 @@ class _FuncInfo:
 
 
 class _Analyzer:
-    """The whole-tree radius/capacity/envelope pass."""
+    """The whole-tree radius/cutoff/envelope pass."""
 
     def __init__(self, files: Sequence[_SourceFile]) -> None:
         self.files = list(files)
@@ -1020,288 +1008,14 @@ def check_floods(
 
 
 # ----------------------------------------------------------------------
-# REPRO405/406: packed-kernel capacities
+# REPRO405: Horton stage-3 cutoffs
 # ----------------------------------------------------------------------
-_WORD_BITS = 64  # np.uint64
-
-
-def check_capacities(
-    files: Sequence[_SourceFile],
-) -> Tuple[List[Finding], Dict[str, Any]]:
+def check_stage_cutoffs(files: Sequence[_SourceFile]) -> List[Finding]:
     findings: List[Finding] = []
-    capacities: Dict[str, Any] = {}
-    batch = next((f for f in files if f.rel.endswith("cycles/batch.py")), None)
-    if batch is not None:
-        findings.extend(_check_batch(batch, capacities))
     for name in ("cycles/kernel.py", "cycles/horton.py"):
         file = next((f for f in files if f.rel.endswith(name)), None)
         if file is not None:
             findings.extend(_check_stage_cutoffs(file))
-    return findings, capacities
-
-
-def _module_int_constants(file: _SourceFile) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    for node in file.tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                try:
-                    value = ast.literal_eval(node.value)
-                except ValueError:
-                    continue
-                if isinstance(value, int) and not isinstance(value, bool):
-                    out[target.id] = value
-    return out
-
-
-def _const_eval(node: ast.expr, consts: Dict[str, int]) -> Optional[int]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return node.value
-    if isinstance(node, ast.Name):
-        return consts.get(node.id)
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.Add, ast.Sub, ast.Mult, ast.LShift)
-    ):
-        left = _const_eval(node.left, consts)
-        right = _const_eval(node.right, consts)
-        if left is None or right is None:
-            return None
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        return left << right
-    return None
-
-
-def _check_batch(
-    file: _SourceFile, capacities: Dict[str, Any]
-) -> List[Finding]:
-    findings: List[Finding] = []
-    consts = _module_int_constants(file)
-
-    def flag(rule: str, name: str, node: ast.AST, msg: str) -> None:
-        findings.append(
-            Finding(
-                path=file.rel,
-                rule=rule,
-                name=name,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0),
-                message=msg,
-            )
-        )
-
-    loc = ast.Module(body=[], type_ignores=[])  # line-1 fallback
-
-    # -- REPRO405: constants vs dtype capacities ------------------------
-    members = consts.get("BATCH_MAX_MEMBERS")
-    words = consts.get("BATCH_MAX_CHORD_WORDS")
-    for name, value in sorted(consts.items()):
-        if name in (
-            "BATCH_MAX_MEMBERS",
-            "BATCH_MAX_CHORD_WORDS",
-            "BATCH_MIN_CANDIDATES",
-            "PACKED_TAU_MAX",
-            "_SLAB_PAD",
-            "_TAIL_ROWS",
-            "_WORD_MASK",
-        ):
-            capacities[name] = value
-    if members is None:
-        flag("REPRO405", "packed-capacity", loc, "BATCH_MAX_MEMBERS not found")
-    elif members != _WORD_BITS:
-        flag(
-            "REPRO405",
-            "packed-capacity",
-            loc,
-            f"BATCH_MAX_MEMBERS = {members}: the packed path stores one "
-            f"adjacency *word* per member, so the cap must equal the "
-            f"uint64 width ({_WORD_BITS})",
-        )
-    if "_WORD_MASK" in consts and consts["_WORD_MASK"] != (1 << _WORD_BITS) - 1:
-        flag(
-            "REPRO405",
-            "packed-capacity",
-            loc,
-            f"_WORD_MASK = {consts['_WORD_MASK']:#x} is not the uint64 "
-            "all-ones mask",
-        )
-    if words is not None and words < 1:
-        flag(
-            "REPRO405",
-            "packed-capacity",
-            loc,
-            f"BATCH_MAX_CHORD_WORDS = {words} leaves no chord capacity",
-        )
-    chord_capacity = (
-        _WORD_BITS * words if words is not None else None
-    )
-    if chord_capacity is not None:
-        capacities["chord_capacity"] = chord_capacity
-
-    # -- REPRO405: width-class tiling must cover [1, capacity] ----------
-    tiling: Optional[List[Tuple[int, int]]] = None
-    tiling_node: Optional[ast.AST] = None
-    for node in ast.walk(file.tree):
-        if (
-            isinstance(node, ast.For)
-            and isinstance(node.target, ast.Tuple)
-            and len(node.target.elts) == 2
-            and isinstance(node.iter, ast.Tuple)
-        ):
-            pairs: List[Tuple[int, int]] = []
-            for elt in node.iter.elts:
-                if not (isinstance(elt, ast.Tuple) and len(elt.elts) == 2):
-                    pairs = []
-                    break
-                lo = _const_eval(elt.elts[0], consts)
-                hi = _const_eval(elt.elts[1], consts)
-                if lo is None or hi is None:
-                    pairs = []
-                    break
-                pairs.append((lo, hi))
-            if pairs:
-                tiling, tiling_node = pairs, node
-                break
-    if tiling is not None and tiling_node is not None and chord_capacity:
-        capacities["width_classes"] = [list(p) for p in tiling]
-        expected_lo = 1
-        for lo, hi in tiling:
-            if lo != expected_lo:
-                flag(
-                    "REPRO405",
-                    "packed-capacity",
-                    tiling_node,
-                    f"width-class tiling gap/overlap: class starts at {lo}, "
-                    f"expected {expected_lo}",
-                )
-                break
-            expected_lo = hi + 1
-        else:
-            if tiling[-1][1] != chord_capacity:
-                flag(
-                    "REPRO405",
-                    "packed-capacity",
-                    tiling_node,
-                    f"width-class tiling ends at {tiling[-1][1]}, but the "
-                    f"chord capacity is 64 * BATCH_MAX_CHORD_WORDS = "
-                    f"{chord_capacity}",
-                )
-
-    # -- REPRO405: bit-packed edge-table index fields -------------------
-    for node in ast.walk(file.tree):
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id == "edge_table"
-        ):
-            shifts = sorted(
-                {
-                    n.right.value
-                    for n in ast.walk(node)
-                    if isinstance(n, ast.BinOp)
-                    and isinstance(n.op, ast.LShift)
-                    and isinstance(n.right, ast.Constant)
-                    and isinstance(n.right.value, int)
-                }
-            )
-            if not shifts:
-                continue
-            field_bits = shifts[0]
-            pair_bits = shifts[-1]
-            capacities["edge_table_field_bits"] = field_bits
-            if members is not None and members > (1 << field_bits):
-                flag(
-                    "REPRO405",
-                    "packed-capacity",
-                    node,
-                    f"edge_table packs local member indices into "
-                    f"{field_bits}-bit fields, which cannot address "
-                    f"BATCH_MAX_MEMBERS = {members} members",
-                )
-            if len(shifts) > 1 and pair_bits != 2 * field_bits:
-                flag(
-                    "REPRO405",
-                    "packed-capacity",
-                    node,
-                    f"edge_table key packs a (candidate, i, j) triple but "
-                    f"the candidate shift ({pair_bits}) is not twice the "
-                    f"field width ({field_bits})",
-                )
-            break
-
-    # -- REPRO406: bypass guards must reference their named thresholds --
-    guard_specs: Tuple[Tuple[str, str, str], ...] = (
-        ("tau", "PACKED_TAU_MAX", "the packed-path tau gate"),
-        ("count", "BATCH_MAX_MEMBERS", "the member-count guard"),
-        ("packed", "BATCH_MIN_CANDIDATES", "the amortisation threshold"),
-        ("nu", "BATCH_MAX_CHORD_WORDS", "the chord-width guard"),
-    )
-    seen: Dict[str, List[ast.Compare]] = {key: [] for key, _, _ in guard_specs}
-    for node in ast.walk(file.tree):
-        if not (isinstance(node, ast.Compare) and len(node.ops) == 1):
-            continue
-        left = node.left
-        left_name: Optional[str] = None
-        if isinstance(left, ast.Name):
-            left_name = left.id
-        elif (
-            isinstance(left, ast.Call)
-            and isinstance(left.func, ast.Name)
-            and left.func.id == "len"
-            and left.args
-            and isinstance(left.args[0], ast.Name)
-        ):
-            left_name = left.args[0].id
-        if left_name in seen and isinstance(node.ops[0], (ast.Lt, ast.LtE)):
-            seen[left_name].append(node)
-    for key, const_name, describes in guard_specs:
-        if const_name not in consts:
-            continue  # constant swept away: the REPRO405 pass reports it
-        guards = seen.get(key, [])
-        named = False
-        for guard in guards:
-            rhs = guard.comparators[0]
-            if any(
-                isinstance(n, ast.Name) and n.id == const_name
-                for n in ast.walk(rhs)
-            ):
-                named = True
-            elif (
-                isinstance(rhs, ast.Constant)
-                and isinstance(rhs.value, int)
-                and rhs.value == consts[const_name]
-                and rhs.value not in (0, 1, 3)
-            ):
-                flag(
-                    "REPRO406",
-                    "bypass-threshold",
-                    guard,
-                    f"{describes} compares against the literal "
-                    f"{rhs.value}; reference {const_name} so the guard "
-                    "moves with the capacity",
-                )
-        if guards and not named:
-            flag(
-                "REPRO406",
-                "bypass-threshold",
-                guards[0],
-                f"{describes} never references {const_name}",
-            )
-    if "PACKED_TAU_MAX" in consts and consts["PACKED_TAU_MAX"] != 4:
-        flag(
-            "REPRO406",
-            "bypass-threshold",
-            loc,
-            f"PACKED_TAU_MAX = {consts['PACKED_TAU_MAX']}: the packed "
-            "pipeline's triangle/quad chord structure is complete only "
-            "for tau <= 4",
-        )
     return findings
 
 
@@ -1327,7 +1041,7 @@ def _check_stage_cutoffs(file: _SourceFile) -> List[Finding]:
                     Finding(
                         path=file.rel,
                         rule="REPRO405",
-                        name="packed-capacity",
+                        name="stage-cutoff",
                         line=node.lineno,
                         col=node.col_offset,
                         message=f"stage-3 BFS cutoff `{text}` is not the "
@@ -1496,9 +1210,7 @@ def run_bounds(
         findings.extend(flood_findings)
         manifest.floods = flood_manifest
 
-    capacity_findings, capacities = check_capacities(files)
-    findings.extend(capacity_findings)
-    manifest.capacities = capacities
+    findings.extend(check_stage_cutoffs(files))
 
     envelope_findings, envelopes = check_envelopes(files, contract)
     findings.extend(envelope_findings)

@@ -5,7 +5,7 @@ Two modes, one contract:
 * **Static mode** (default) — run the REPRO4xx passes
   (:mod:`repro.checks.bounds`) over the tree: every BFS/ball/TTL/halo
   radius proven as a symbolic expression over ``(tau, k, m)``, the
-  packed-kernel capacity constants re-derived, and the per-round
+  Horton stage cutoffs re-derived, and the per-round
   message/halo envelopes emitted.  ``--manifest PATH`` writes the proved
   bounds as a ``repro-bounds-manifest/v1`` document.
 * **Cross-check mode** (``--cross-check``) — run a small sharded +
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bounds",
         description=(
-            "Symbolic radius/capacity certifier and runtime envelope "
+            "Symbolic radius/cutoff certifier and runtime envelope "
             "cross-check for the repro codebase."
         ),
     )

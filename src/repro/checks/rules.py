@@ -154,7 +154,7 @@ def _unseeded_call(node: ast.Call) -> bool:
 class NumpyRngRule(Rule):
     """Unseeded ``numpy.random`` use, now that numpy is in the runtime.
 
-    The batched verdict kernel pulled numpy into library code, so the
+    The wave-MIS label propagation pulled numpy into library code, so the
     REPRO101 argument applies to its RNG surface too — in all three
     shapes it comes in: ``default_rng()`` / ``SeedSequence()`` /
     bit generators without an explicit seed (``None`` counts — that is

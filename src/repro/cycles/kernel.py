@@ -63,7 +63,6 @@ class CSRGraph:
         "_member_token",
         "_parent",
         "_acc",
-        "edges_version",
         "__weakref__",
     )
 
@@ -93,12 +92,6 @@ class CSRGraph:
         self._member_token = 0
         self._parent = [0] * n
         self._acc = [0] * n
-        #: Bumped on every change to the *edge structure or slot table*
-        #: (new slots, added or deleted edges) but **not** on vertex
-        #: deletion: batch-kernel adjacency caches tolerate dead slots
-        #: (membership joins drop them) but not missing or phantom
-        #: edges between alive vertices.
-        self.edges_version = 0
         self.version = base.version
 
     # ------------------------------------------------------------------
@@ -124,7 +117,6 @@ class CSRGraph:
         self.adj.append([])
         self.alive.append(1)
         self._grow()
-        self.edges_version += 1
         return i
 
     def add_vertex(self, v: int) -> None:
@@ -138,7 +130,6 @@ class CSRGraph:
         if j not in self.adj[i]:
             insort(self.adj[i], j)
             insort(self.adj[j], i)
-            self.edges_version += 1
         self.version = self.base.version
 
     def delete_edge(self, u: int, v: int) -> None:
@@ -146,7 +137,6 @@ class CSRGraph:
         i, j = self.index[u], self.index[v]
         self.adj[i].remove(j)
         self.adj[j].remove(i)
-        self.edges_version += 1
         self.version = self.base.version
 
     def delete_vertex(self, v: int):

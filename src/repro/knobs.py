@@ -5,10 +5,7 @@ exactly once — name, type, default, owning layer — and everything else
 derives from the declaration:
 
 * **Runtime reads** go through :func:`get_flag` / :func:`get_int` /
-  :func:`get_str`, so a knob's default lives in one place (PR 9 retired
-  the duplicated fan-out crossover: the old ``SCHEDULE_FANOUT_MIN_NODES``
-  constant and the ``REPRO_FANOUT_MIN_NODES`` env default are both this
-  registry's ``2000``).
+  :func:`get_str`, so a knob's default lives in one place.
 * **The static analysis** (:mod:`repro.checks.concurrency`, REPRO308)
   flags any ``os.environ`` read of an undeclared ``REPRO_*`` name and
   any literal default that disagrees with the registry.
@@ -38,7 +35,7 @@ FALSE_WORDS = ("", "0", "false", "off", "no")
 class Knob:
     """One declared environment knob."""
 
-    name: str  # the environment variable, e.g. "REPRO_SHM"
+    name: str  # the environment variable, e.g. "REPRO_CHAOS"
     kind: str  # "flag" | "int" | "str"
     default: Optional[str]  # raw value assumed when unset; None = computed
     layer: str  # owning layer ("parallel", "cycles", "checks", ...)
@@ -58,17 +55,6 @@ class Knob:
 #: ``REPRO_*`` name without a row here fails both REPRO308 and the
 #: drift test in tests/unit/test_knobs.py.
 KNOBS: Tuple[Knob, ...] = (
-    Knob(
-        name="REPRO_BATCH_VERDICTS",
-        kind="flag",
-        default="",
-        layer="cycles",
-        fingerprint=True,
-        description=(
-            "route whole verdict waves through the batched uint64 GF(2) "
-            "kernel (schedules are byte-identical either way)"
-        ),
-    ),
     Knob(
         name="REPRO_BENCH_SCALE",
         kind="str",
@@ -115,18 +101,6 @@ KNOBS: Tuple[Knob, ...] = (
         description="seed of the chaos permutation/delay stream",
     ),
     Knob(
-        name="REPRO_FANOUT_MIN_NODES",
-        kind="int",
-        default="2000",
-        layer="parallel",
-        fingerprint=True,
-        description=(
-            "fan-out crossover in graph vertices: below it schedules stay "
-            "on the always-safe serial path (tests set 0 to force the pool; "
-            "calibrated above the measured break-even, BENCH_kernel.json)"
-        ),
-    ),
-    Knob(
         name="REPRO_SANITIZE",
         kind="str",
         default="",
@@ -145,18 +119,6 @@ KNOBS: Tuple[Knob, ...] = (
         layer="checks",
         fingerprint=False,
         description="sanitizer sampling stride (shadow-check every Nth sample)",
-    ),
-    Knob(
-        name="REPRO_SHM",
-        kind="flag",
-        default="",
-        layer="parallel",
-        fingerprint=True,
-        description=(
-            "publish base graphs/partitions as shared-memory CSR segments "
-            "instead of pickled blobs (coordinator owns every segment; "
-            "workers attach read-only)"
-        ),
     ),
 )
 

@@ -4,7 +4,8 @@ Benchmark numbers are only comparable when the environment that
 produced them is recorded alongside, so every entry written here is
 stamped with an **environment fingerprint** (``repro.bench/v2``): CPU
 count, Python/NumPy versions, platform, and the determinism-relevant
-knob set (``REPRO_BATCH_VERDICTS`` & co).  Entries merge into shared
+knob set (the registry's ``fingerprint`` knobs, e.g. ``REPRO_CHAOS``).
+Entries merge into shared
 JSON files by name through
 :func:`repro.obs.export.merge_json_entry` — the ``BENCH_kernel.json``
 convention — so partial runs never wipe history.
@@ -168,7 +169,7 @@ def bench_kernel_schedule(scale: str = "smoke") -> Dict[str, Any]:
 
 
 def bench_tracer_overhead(scale: str = "smoke") -> Dict[str, Any]:
-    """Disabled-tracer overhead on the sharded+batched schedule path.
+    """Disabled-tracer overhead on the inline sharded schedule path.
 
     The disabled run *is* the baseline, so its overhead cannot be
     measured by subtraction.  Instead the entry records a conservative

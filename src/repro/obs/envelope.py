@@ -320,8 +320,7 @@ def max_bfs_depth_from_tracer(
 ) -> Optional[int]:
     """Deepest observed ball BFS, read off the kernel's tracer spans.
 
-    Returns ``None`` when no such span was recorded (tracing disabled or
-    the packed path bypassed the per-ball spans).
+    Returns ``None`` when no such span was recorded (tracing disabled).
     """
     depths = [
         int(span.attrs["radius"])

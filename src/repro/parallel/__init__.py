@@ -1,29 +1,19 @@
 """Process-parallel execution of independent coverage work.
 
 See :mod:`repro.parallel.runner` for the determinism contract (ordered
-submission/consumption, worker-local warm engines, counter merging).
+submission/consumption, persistent shard workers, observation merging).
 """
 
 from repro.parallel.runner import (
-    ScheduleFanout,
     ShardWorkerPool,
     chunk_evenly,
-    compact_graph_blob,
-    fanout_crossover,
-    fanout_worthwhile,
-    graph_from_blob,
     parallel_starmap,
     resolve_workers,
 )
 
 __all__ = [
-    "ScheduleFanout",
     "ShardWorkerPool",
     "chunk_evenly",
-    "compact_graph_blob",
-    "fanout_crossover",
-    "fanout_worthwhile",
-    "graph_from_blob",
     "parallel_starmap",
     "resolve_workers",
 ]

@@ -31,10 +31,8 @@ from __future__ import annotations
 import pickle
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cycles.batch import batch_verdicts_enabled
 from repro.network.graph import NetworkGraph
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.shard.segment import ShmSource, attach_partition
 from repro.topology import LocalTopologyEngine
 from repro.topology.mis import LOSER, UNDECIDED, WINNER, WaveMIS
 
@@ -45,14 +43,10 @@ PriorityRow = Tuple[int, int]  # (vertex, priority index)
 class LocalShard:
     """One shard's partition engine and per-round MIS state.
 
-    ``source`` is any of the three partition transports, normalised
-    here: a pickled blob (:func:`~repro.shard.plan.partition_blob`), a
-    plain parts tuple (:func:`~repro.shard.plan.partition_parts`, the
-    inline backend's zero-copy hand-off), or a
-    :class:`~repro.parallel.shm.ShmSource` descriptor for a shared CSR
-    segment (attached read-only under a ``shm.attach`` span, copied
-    into the private engine, then unmapped — the coordinator owns the
-    segment's lifetime).
+    ``source`` is either partition transport, normalised here: a
+    pickled blob (:func:`~repro.shard.plan.partition_blob`) or a plain
+    parts tuple (:func:`~repro.shard.plan.partition_parts`, the inline
+    backend's zero-copy hand-off and the pool's startup message).
     """
 
     def __init__(
@@ -67,21 +61,10 @@ class LocalShard:
         self._subround = 0
         if isinstance(source, (bytes, bytearray)):
             source = pickle.loads(source)
-        if isinstance(source, ShmSource):
-            if self.tracer.enabled:
-                with self.tracer.trace("shm.attach", shard=index):
-                    owned, halo, boundary, partition = attach_partition(
-                        source.descriptor
-                    )
-            else:
-                owned, halo, boundary, partition = attach_partition(
-                    source.descriptor
-                )
-        else:
-            owned, halo, boundary, edges = source
-            partition = NetworkGraph(tuple(owned) + tuple(halo))
-            for u, v in edges:
-                partition.add_edge(u, v)
+        owned, halo, boundary, edges = source
+        partition = NetworkGraph(tuple(owned) + tuple(halo))
+        for u, v in edges:
+            partition.add_edge(u, v)
         self.owned = tuple(owned)
         self.halo = tuple(halo)
         # The CSR mirror assigns slots in sorted-id order, so owned and
@@ -98,7 +81,6 @@ class LocalShard:
             tracer=self.tracer if capture else None,
         )
         self._radius = self.engine.radius
-        self._use_batch = batch_verdicts_enabled()
         self._mis: Optional[WaveMIS] = None
 
     # ------------------------------------------------------------------
@@ -164,6 +146,7 @@ class LocalShard:
         mis = self._mis
         boundary = self._boundary
         tracer = self.tracer
+        deletable = self.engine.deletable
         exported: List[StatusRow] = []
         winners: List[int] = []
         while True:
@@ -178,9 +161,9 @@ class LocalShard:
                         subround=subround,
                         candidates=len(testable),
                     ):
-                        verdicts = self._verdicts_of(testable)
+                        verdicts = [deletable(v) for v in testable]
                 else:
-                    verdicts = self._verdicts_of(testable)
+                    verdicts = [deletable(v) for v in testable]
                 for v, verdict in zip(testable, verdicts):
                     mis.record_verdict(v, verdict)
                     if verdict:
@@ -190,11 +173,6 @@ class LocalShard:
             elif not blocked:
                 break
         return winners, exported, mis.undecided_count()
-
-    def _verdicts_of(self, testable: Sequence[int]) -> List[bool]:
-        if self._use_batch:
-            return self.engine.span_verdicts_batch(testable)
-        return [self.engine.deletable(v) for v in testable]
 
     def apply_status(self, rows: Sequence[StatusRow]) -> None:
         """Apply foreign boundary-band decisions (the sub-round barrier)."""

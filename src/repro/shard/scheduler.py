@@ -168,9 +168,8 @@ def sharded_dcc_schedule(
     capture = tracer.enabled
     pool_size = min(resolve_workers(workers), plan.shard_count)
     if pool_size > 1:
-        # The pool picks the cross-process transport (shared-memory CSR
-        # segments under REPRO_SHM, pickled parts otherwise) and owns
-        # any published segments until close().
+        # Each worker receives its shards' partition parts once at
+        # startup; later messages carry only rows.
         backend = ShardWorkerPool(
             graph, plan.specs, tau, pool_size, capture=capture
         )

@@ -19,29 +19,27 @@ neighbourhood per pass; the copy is taken at construction, when the
 round's deletions have already unlinked dead slots, so labels can never
 relay through a deleted vertex).  Statuses are monotone — undecided ->
 winner/loser, never back — so any interleaving of wave steps converges
-to the same fixpoint: the greedy MIS of the priority order.  That makes
-one implementation serve both consumers:
+to the same fixpoint: the greedy MIS of the priority order — the
+winners of the unsharded scheduler's lazy scan
+(:mod:`repro.core.scheduler`).
 
-* the unsharded scheduler (:mod:`repro.core.scheduler`) loops steps to
-  the fixpoint, feeding each wave's testable set to
-  :meth:`~repro.topology.engine.LocalTopologyEngine.span_verdicts_batch`;
-* the shard runtime (:mod:`repro.shard.runtime`) runs one step per
-  sub-round against the statuses known at the barrier, tests only its
-  *owned* testable candidates, and learns foreign decisions through
-  :meth:`WaveMIS.apply_row` — the tested set per round is provably the
-  serial scan's (no eager redundant verdicts).
+The shard runtime (:mod:`repro.shard.runtime`) is the consumer, in
+inline and pooled workers alike: each shard runs steps against the
+statuses known at the barrier, tests only its *owned* testable
+candidates, and learns foreign decisions through
+:meth:`WaveMIS.apply_row` — the tested set per round is provably the
+serial scan's (no eager redundant verdicts).
 
 Snapshot semantics: a step decides against the statuses frozen at its
-entry, exactly the shard barrier's contract, so sharded and unsharded
-runs walk the same wave sequence.  Without numpy the propagation runs
-in pure Python over the same live adjacency lists — same answers,
-test-scale speed.
+entry, exactly the shard barrier's contract.  Without numpy the
+propagation runs in pure Python over the same live adjacency lists —
+same answers, test-scale speed.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 try:  # pragma: no cover - exercised by the import-time environment
     import numpy as np
@@ -75,10 +73,10 @@ class WaveMIS:
         The separation radius ``k`` (``deletion_radius(tau)``): two MIS
         members must sit more than ``k`` hops apart.
     owned:
-        Optional id filter: :meth:`step` only reports *testable*
-        candidates from this set (a shard may only test what it owns).
-        Blocked decisions still apply to every candidate — they are
-        facts about already-exported winners, identical in every view.
+        Id filter: :meth:`step` only reports *testable* candidates from
+        this set (a shard may only test what it owns).  Blocked
+        decisions still apply to every candidate — they are facts about
+        already-exported winners, identical in every view.
     """
 
     def __init__(
@@ -86,7 +84,7 @@ class WaveMIS:
         kernel,
         rows: Iterable[Tuple[int, int]],
         radius: int,
-        owned: Optional[frozenset] = None,
+        owned: frozenset,
     ) -> None:
         self._kernel = kernel
         self._radius = radius
@@ -96,12 +94,7 @@ class WaveMIS:
         index = kernel.index
         self._slot_of = {v: index[v] for v in self._prio}
         self._winners: List[int] = []
-        self._open = len(self._prio)
-        self._open_owned = (
-            self._open
-            if owned is None
-            else sum(1 for v in self._prio if v in owned)
-        )
+        self._open_owned = sum(1 for v in self._prio if v in owned)
         if np is not None:
             self._init_arrays(kernel)
 
@@ -133,13 +126,10 @@ class WaveMIS:
         self._undecided = np.zeros(nslots, dtype=bool)
         self._undecided[list(self._slot_of.values())] = True
         self._winner_mask = np.zeros(nslots, dtype=bool)
-        if self._owned is not None:
-            self._owned_mask = np.zeros(nslots, dtype=bool)
-            self._owned_mask[
-                [self._slot_of[v] for v in self._prio if v in self._owned]
-            ] = True
-        else:
-            self._owned_mask = None
+        self._owned_mask = np.zeros(nslots, dtype=bool)
+        self._owned_mask[
+            [self._slot_of[v] for v in self._prio if v in self._owned]
+        ] = True
 
     # ------------------------------------------------------------------
     # Propagation
@@ -195,11 +185,10 @@ class WaveMIS:
         id lists: ``blocked`` are candidates newly decided as losers (a
         smaller-priority winner sits within the radius — already
         applied), ``testable`` are candidates whose verdict is now due
-        (report their outcomes through :meth:`record_verdict`).  With
-        an ``owned`` filter, ``testable`` is restricted to owned
-        candidates; ``blocked`` is not.  An empty step (``[], []``)
-        with undecided candidates remaining means this view is waiting
-        on foreign decisions — only possible under an ``owned`` filter.
+        (report their outcomes through :meth:`record_verdict`).
+        ``testable`` is restricted to owned candidates; ``blocked`` is
+        not.  An empty step (``[], []``) with undecided candidates
+        remaining means this view is waiting on foreign decisions.
         """
         if self._open_owned == 0:
             # Nothing left that this view may decide or test: foreign
@@ -217,9 +206,9 @@ class WaveMIS:
             blocked_mask = undecided & (win_min < prio_arr)
         else:
             blocked_mask = np.zeros_like(undecided)
-        testable_mask = undecided & ~blocked_mask & (und_min == prio_arr)
-        if self._owned_mask is not None:
-            testable_mask &= self._owned_mask
+        testable_mask = (
+            undecided & ~blocked_mask & (und_min == prio_arr) & self._owned_mask
+        )
         ids = self._kernel.ids
         blocked = [ids[slot] for slot in np.flatnonzero(blocked_mask)]
         testable = [ids[slot] for slot in np.flatnonzero(testable_mask)]
@@ -243,7 +232,7 @@ class WaveMIS:
             mine = prio[v]
             if win.get(slot, _INF) < mine:
                 blocked.append(v)
-            elif und.get(slot, _INF) == mine and (owned is None or v in owned):
+            elif und.get(slot, _INF) == mine and v in owned:
                 testable.append(v)
         blocked.sort(key=prio.__getitem__)
         testable.sort(key=prio.__getitem__)
@@ -254,12 +243,8 @@ class WaveMIS:
         status = self._status
         for v in blocked:
             status[v] = LOSER
-        self._open -= len(blocked)
         owned = self._owned
-        if owned is None:
-            self._open_owned = self._open
-        else:
-            self._open_owned -= sum(1 for v in blocked if v in owned)
+        self._open_owned -= sum(1 for v in blocked if v in owned)
 
     # ------------------------------------------------------------------
     # Decisions
@@ -275,8 +260,7 @@ class WaveMIS:
 
     def _set(self, v: int, status: int) -> None:
         self._status[v] = status
-        self._open -= 1
-        if self._owned is None or v in self._owned:
+        if v in self._owned:
             self._open_owned -= 1
         if status == WINNER:
             self._winners.append(v)
@@ -294,7 +278,7 @@ class WaveMIS:
         return sorted(self._winners, key=self._prio.__getitem__)
 
     def undecided_count(self) -> int:
-        """Open candidates (owned ones only, under an ``owned`` filter)."""
+        """Open owned candidates."""
         return self._open_owned
 
     def status_of(self, v: int) -> int:

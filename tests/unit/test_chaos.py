@@ -5,16 +5,15 @@ complete, only on submission-order consumption of their results.  The
 chaos harness makes that claim falsifiable: with ``REPRO_CHAOS=1``
 every pool barrier waits/drains in a seeded-permuted order and workers
 self-delay, and the tests here assert results stay identical to the
-unperturbed runs.  The worker-crash tests pin the shm cleanup
+unperturbed runs.  The worker-crash tests pin the pool's cleanup
 guarantee: a killed worker surfaces as a deterministic RuntimeError and
-never leaks a /dev/shm segment.
+no pool child outlives ``close()``.
 """
 
 from __future__ import annotations
 
-import os
+import multiprocessing
 import random
-from pathlib import Path
 
 import pytest
 
@@ -28,10 +27,7 @@ from repro.parallel.runner import (
     current_chaos,
     parallel_starmap,
 )
-from repro.parallel.shm import shm_available
 from repro.shard import build_shard_plan, sharded_dcc_schedule
-
-SHM_DIR = Path("/dev/shm")
 
 
 @pytest.fixture(autouse=True)
@@ -52,10 +48,8 @@ def _random_graph(seed: int, nodes: int = 36, density: float = 0.2) -> NetworkGr
     return graph
 
 
-def _shm_segments() -> set:
-    if not SHM_DIR.is_dir():
-        return set()
-    return {p.name for p in SHM_DIR.iterdir() if p.name.startswith("psm_")}
+def _live_children() -> set:
+    return {proc.pid for proc in multiprocessing.active_children()}
 
 
 # ----------------------------------------------------------------------
@@ -142,42 +136,42 @@ class TestChaosInvariance:
 
 
 # ----------------------------------------------------------------------
-# Worker crash: deterministic error, no /dev/shm leak
+# Worker crash: deterministic error, no surviving pool children
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not shm_available(), reason="shared memory unavailable")
 class TestWorkerCrashCleanup:
-    def test_killed_worker_raises_and_segments_unlink(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "1")
+    def test_killed_worker_raises_and_children_reaped(self):
         graph = _random_graph(29, nodes=30, density=0.25)
         plan = build_shard_plan(graph, tau=3, shards=2, seed=0)
-        before = _shm_segments()
+        before = _live_children()
         pool = ShardWorkerPool(graph, plan.specs, tau=3, workers=2)
         try:
-            assert _shm_segments() - before, "expected published segments"
+            assert _live_children() - before, "expected pool children"
             pool._procs[0].kill()
             pool._procs[0].join(timeout=5.0)
             with pytest.raises(RuntimeError, match="died mid-schedule"):
                 pool.finish()
         finally:
             pool.close()
-        assert _shm_segments() - before == set()
+        assert not any(proc.is_alive() for proc in pool._procs)
+        assert _live_children() - before == set()
 
     def test_mid_schedule_kill_through_scheduler(self, monkeypatch):
-        """A worker killed mid-schedule still leaves /dev/shm clean.
+        """A worker killed mid-schedule leaves no pool child behind.
 
-        The scheduler's ``finally: backend.close()`` owns the unlink;
-        the kill is injected through the halo-exchange barrier so the
+        The scheduler's ``finally: backend.close()`` reaps the pool; the
+        kill is injected through the halo-exchange barrier so the
         schedule is genuinely in flight when the worker dies.
         """
-        monkeypatch.setenv("REPRO_SHM", "1")
         graph = _random_graph(31, nodes=30, density=0.25)
-        before = _shm_segments()
+        before = _live_children()
         real_roundtrip = ShardWorkerPool._roundtrip
         calls = {"n": 0}
+        pools = []
 
         def killing_roundtrip(self, kind, payloads):
             calls["n"] += 1
             if calls["n"] == 3:
+                pools.append(self)
                 self._procs[0].kill()
                 self._procs[0].join(timeout=5.0)
             return real_roundtrip(self, kind, payloads)
@@ -188,18 +182,29 @@ class TestWorkerCrashCleanup:
                 graph, set(), 3, random.Random(1), shards=2, workers=2
             )
         assert calls["n"] >= 3
-        assert _shm_segments() - before == set()
+        (pool,) = pools
+        assert not any(proc.is_alive() for proc in pool._procs)
+        assert _live_children() - before == set()
 
-    def test_pool_init_failure_unlinks_published_segments(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "1")
+    def test_pool_init_failure_propagates_and_reaps_children(self, monkeypatch):
         graph = _random_graph(37, nodes=24, density=0.25)
         plan = build_shard_plan(graph, tau=3, shards=2, seed=0)
-        before = _shm_segments()
+        before = _live_children()
+        real_process = multiprocessing.Process
+        started = []
 
-        def boom(*args, **kwargs):
-            raise OSError("no processes for you")
+        def second_start_fails(*args, **kwargs):
+            # The first worker starts for real, so the failure leaves a
+            # partially built pool for close() to tear down.
+            if started:
+                raise OSError("no processes for you")
+            proc = real_process(*args, **kwargs)
+            started.append(proc)
+            return proc
 
-        monkeypatch.setattr(runner.multiprocessing, "Process", boom)
+        monkeypatch.setattr(runner.multiprocessing, "Process", second_start_fails)
         with pytest.raises(OSError, match="no processes"):
             ShardWorkerPool(graph, plan.specs, tau=3, workers=2)
-        assert _shm_segments() - before == set()
+        (proc,) = started
+        assert not proc.is_alive()
+        assert _live_children() - before == set()

@@ -12,16 +12,7 @@ import pytest
 from repro.analysis.sweeps import parameter_grid, run_sweep
 from repro.core.scheduler import dcc_schedule
 from repro.network.deployment import Rectangle, build_network
-from repro.parallel import (
-    chunk_evenly,
-    compact_graph_blob,
-    fanout_crossover,
-    fanout_worthwhile,
-    graph_from_blob,
-    parallel_starmap,
-    resolve_workers,
-)
-from repro.parallel.runner import SCHEDULE_FANOUT_MIN_NODES
+from repro.parallel import chunk_evenly, parallel_starmap, resolve_workers
 
 
 def test_resolve_workers_contract():
@@ -89,46 +80,10 @@ def test_run_sweep_parallel_error_rows_identical_to_serial():
     assert fanned.rows == serial.rows
 
 
-def test_compact_graph_blob_roundtrip():
-    net = build_network(40, Rectangle(0, 0, 3.0, 3.0), 1.0, 1.0, seed=5)
-    clone = graph_from_blob(compact_graph_blob(net.graph))
-    assert clone.vertex_set() == net.graph.vertex_set()
-    assert sorted(clone.edges()) == sorted(net.graph.edges())
-
-
-def test_fanout_crossover_contract(monkeypatch):
-    monkeypatch.delenv("REPRO_FANOUT_MIN_NODES", raising=False)
-    assert fanout_crossover() == SCHEDULE_FANOUT_MIN_NODES
-    # Small jobs never fan out; the env knob overrides for tests/benches.
-    assert not fanout_worthwhile(SCHEDULE_FANOUT_MIN_NODES - 1, 2)
-    assert fanout_worthwhile(SCHEDULE_FANOUT_MIN_NODES, 2)
-    assert not fanout_worthwhile(10**6, 1)
-    monkeypatch.setenv("REPRO_FANOUT_MIN_NODES", "0")
-    assert fanout_crossover() == 0
-    assert fanout_worthwhile(1, 2)
-
-
-def test_dcc_schedule_fanout_matches_serial(monkeypatch):
-    # Force the pool below the crossover so the test exercises it.
-    monkeypatch.setenv("REPRO_FANOUT_MIN_NODES", "0")
-    net = build_network(60, Rectangle(0, 0, 3.6, 3.6), 1.0, 1.0, seed=7)
-    protected = set(net.boundary_nodes)
-    serial = dcc_schedule(net.graph, protected, 4, rng=random.Random(0), workers=1)
-    fanned = dcc_schedule(net.graph, protected, 4, rng=random.Random(0), workers=2)
-    assert fanned.removed == serial.removed
-    assert fanned.deletions_per_round == serial.deletions_per_round
-    assert fanned.active.vertex_set() == serial.active.vertex_set()
-    # The fan-out tests every candidate eagerly, so it does at least the
-    # serial path's verdict work — and its counters must account for it.
-    assert (
-        fanned.counters.deletability_tests
-        > serial.counters.deletability_tests
-    )
-
-
 def test_small_jobs_skip_the_pool_but_match():
-    # Below the crossover a workers=2 request silently runs serial:
-    # identical schedule, identical (lazy) verdict accounting.
+    # Unsharded schedules never spawn processes: a workers=2 request
+    # runs the serial lazy loop — identical schedule, identical verdict
+    # accounting.
     net = build_network(60, Rectangle(0, 0, 3.6, 3.6), 1.0, 1.0, seed=7)
     protected = set(net.boundary_nodes)
     serial = dcc_schedule(net.graph, protected, 4, rng=random.Random(0), workers=1)
@@ -138,3 +93,18 @@ def test_small_jobs_skip_the_pool_but_match():
         gated.counters.deletability_tests
         == serial.counters.deletability_tests
     )
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"mode": "parallel"},
+        {"mode": "sequential"},
+        {"mode": "parallel", "shards": 2},
+    ],
+    ids=["parallel", "sequential", "sharded"],
+)
+def test_dcc_schedule_rejects_negative_workers(kwargs):
+    net = build_network(30, Rectangle(0, 0, 3.0, 3.0), 1.0, 1.0, seed=3)
+    with pytest.raises(ValueError, match="workers must be >= 0"):
+        dcc_schedule(net.graph, set(), 4, workers=-1, **kwargs)
