@@ -176,10 +176,12 @@ def run_fig2_vertex_deletion(
     coordinator-driven worker pool
     (:class:`~repro.parallel.runner.ShardWorkerPool`), which keeps the
     chaos/attribution accounting in this process.
-    ``criterion=False`` skips the full-graph partitionability checks,
-    which are the scaling bottleneck past ~10k nodes (the schedule
-    itself is local work; the criterion is a whole-graph GF(2) span).
-    The 100k fig2-style run uses both together.
+    ``criterion=False`` skips the full-graph partitionability checks.
+    The schedule is local work; the criterion is a whole-graph GF(2)
+    span: ~1.3 s and ~160 MB on a 10k-node initial graph on a 2-vCPU
+    Linux machine (DESIGN.md section 5), and its pivot rows would need
+    ~7 GB at 100k.  The 100k fig2-style run uses both
+    together.
     """
     from repro.obs.tracer import current_metrics, current_tracer
     from repro.parallel import parallel_starmap, resolve_workers

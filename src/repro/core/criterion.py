@@ -19,12 +19,13 @@ length-capped Horton candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cycles.cycle_space import Cycle, EdgeIndex
 from repro.cycles.gf2 import gf2_solve
 from repro.cycles.horton import ShortCycleSpan, horton_candidate_cycles
 from repro.network.graph import Edge, NetworkGraph, canonical_edge
+from repro.obs.tracer import current_tracer
 
 VertexCycle = Sequence[int]
 
@@ -61,13 +62,42 @@ def is_tau_partitionable(
     live entirely inside ``graph``.  Pass a prebuilt ``span`` to amortise
     the Horton computation across several queries on the same graph.
     """
+    return _traced_check(graph, boundary_cycles, tau, span)[1]
+
+
+def _traced_check(
+    graph: NetworkGraph,
+    boundary_cycles: Sequence[VertexCycle],
+    tau: int,
+    span: Optional[ShortCycleSpan],
+) -> Tuple[ShortCycleSpan, bool]:
+    """``(span, partitionable)`` under one ``criterion.span`` span."""
+    tracer = current_tracer()
+    if not tracer.enabled:
+        return _check(graph, boundary_cycles, tau, span)
+    with tracer.trace("criterion.span", nodes=len(graph), tau=tau) as handle:
+        span, ok = _check(graph, boundary_cycles, tau, span)
+        handle.set(
+            dimension=span.cycle_space_dimension,
+            rank=span.rank,
+            partitionable=ok,
+        )
+    return span, ok
+
+
+def _check(
+    graph: NetworkGraph,
+    boundary_cycles: Sequence[VertexCycle],
+    tau: int,
+    span: Optional[ShortCycleSpan],
+) -> Tuple[ShortCycleSpan, bool]:
     if not boundary_cycles:
         raise ValueError("at least one boundary cycle is required")
     if span is None:
         span = ShortCycleSpan(graph, tau)
     elif span.graph is not graph or span.tau != tau:
         raise ValueError("span was built for a different graph or tau")
-    return span.contains_edges(boundary_edge_sum(boundary_cycles))
+    return span, span.contains_edges(boundary_edge_sum(boundary_cycles))
 
 
 @dataclass(frozen=True)
@@ -90,8 +120,7 @@ def verify_confine_coverage(
     tau: int,
 ) -> CoverageVerdict:
     """Check the cycle-partition criterion and report diagnostics."""
-    span = ShortCycleSpan(graph, tau)
-    ok = is_tau_partitionable(graph, boundary_cycles, tau, span=span)
+    span, ok = _traced_check(graph, boundary_cycles, tau, None)
     return CoverageVerdict(
         tau=tau,
         partitionable=ok,

@@ -26,6 +26,17 @@ class GF2Basis:
         for vec in vectors:
             self.add(vec)
 
+    @classmethod
+    def from_pivots(cls, rows: Iterable[int]) -> "GF2Basis":
+        """A basis over already pivot-reduced rows (distinct leading bits).
+
+        Zero entries are skipped, so a flat pivot array indexed by
+        leading bit can be handed over as is.
+        """
+        basis = cls()
+        basis._pivots = {row.bit_length() - 1: row for row in rows if row}
+        return basis
+
     @property
     def rank(self) -> int:
         """Dimension of the span of all vectors added so far."""

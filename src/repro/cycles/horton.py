@@ -20,6 +20,14 @@ All linear algebra happens in the *chord space*: after fixing a BFS spanning
 forest, a cycle is identified by its set of non-tree edges (chords), an
 isomorphism from the cycle space onto GF(2)^nu.  Vectors are ``nu``-bit
 integers rather than ``|E|``-bit ones, which shrinks every XOR.
+
+On real graphs :class:`ShortCycleSpan` runs the CSR kernel's staged
+enumeration (:meth:`repro.cycles.kernel.CSRGraph.staged_closure_pivots`,
+the one the local verdicts use): triangles and thinned 4-cycles straight
+off the sorted rows, truncated-BFS closures only for ``tau >= 5``.  The
+vectors stay ``nu`` bits wide, so the pivot rows grow with the graph:
+about 74 MB at 10k nodes, which would be ~7 GB at 100k — the reason
+100k-node runs still skip the whole-graph criterion.
 """
 
 from __future__ import annotations
@@ -155,6 +163,12 @@ class ShortCycleSpan:
     The span is computed from Horton candidates capped at length ``tau``;
     this is the whole short-cycle span because every cycle of length ``L``
     is a GF(2) sum of Horton candidates of length at most ``L``.
+
+    Graphs with a CSR mirror run the staged kernel over every alive slot
+    with the chord numbering of :class:`_ChordSpace` read positionally;
+    ``use_csr=False`` (and graph views) stream tree-path closures through
+    dicts instead — the reference oracle.  Both reach the same subspace,
+    so ranks and ``contains`` answers agree.
     """
 
     def __init__(
@@ -169,12 +183,23 @@ class ShortCycleSpan:
         self._basis = GF2Basis()
         if self._dimension:
             # CSR fast path for real graphs (views keep the dict oracle):
-            # identical chord numbering, so the spanned subspace — and
-            # every downstream ``contains`` query — matches the oracle.
+            # the staged kernel that serves the verdicts, run over every
+            # alive slot with full rows and this chord numbering read
+            # positionally, so the spanned subspace — and every
+            # downstream ``contains`` query — matches the oracle.
             if use_csr and hasattr(graph, "csr"):
-                graph.csr().stream_short_closures(
-                    tau, self._chords.chord_mask, self._basis, self._dimension
+                csr = graph.csr()
+                ids = csr.ids
+                chord = self._chords.chord_mask.get
+                amask = [
+                    [chord((a, ids[w]), 0) for w in row]
+                    for a, row in zip(ids, csr.adj)
+                ]
+                members = [i for i, live in enumerate(csr.alive) if live]
+                __, pivots = csr.staged_closure_pivots(
+                    members, csr.adj, amask, tau, self._dimension
                 )
+                self._basis = GF2Basis.from_pivots(pivots)
             else:
                 self._stream_closures()
 

@@ -1,8 +1,9 @@
 """Flat, array-based span kernel: CSR adjacency + integer BFS + GF(2) span.
 
 The deletability primitive of Definition 5 bottoms out in three loops:
-k-ball extraction (BFS), chord numbering (spanning forest), and
-tau-capped closure streaming into a GF(2) elimination.  The dict-of-sets
+k-ball extraction (BFS), chord numbering (spanning forest), and staged
+tau-capped cycle enumeration into a GF(2) elimination; the last one also
+runs the whole-graph criterion of Propositions 2-3.  The dict-of-sets
 :class:`~repro.network.graph.NetworkGraph` pays hashing and allocation
 on every step of all three.  :class:`CSRGraph` is a compact int-indexed
 mirror of a ``NetworkGraph`` — vertex ids are mapped onto dense slots,
@@ -29,11 +30,9 @@ suite drives both against each other under random mutation sequences.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from itertools import islice
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
-
-from repro.cycles.gf2 import GF2Basis
 
 
 class CSRGraph:
@@ -45,6 +44,14 @@ class CSRGraph:
     added later get fresh slots at the end).  Rows are kept sorted by
     slot, which under the invariant is also sorted by id — the property
     the deterministic shortest-path trees rely on.
+
+    One staged closure routine, :meth:`staged_closure_pivots`, serves
+    both GF(2) consumers: the local Definition 5 verdicts (a punctured
+    k-ball's member rows, :meth:`span_connected_verdict`) and the
+    whole-graph criterion (every alive slot's full row,
+    :class:`~repro.cycles.horton.ShortCycleSpan`).  Neither order of
+    enumeration depends on ids, so dead slots and non-monotone slots
+    are fine for both.
     """
 
     __slots__ = (
@@ -453,111 +460,14 @@ class CSRGraph:
             frontier = nxt
         if reached != count:
             return False
-        return self._stream_member_closures(members, mrows, parent, tau)
 
-    def stream_short_closures(
-        self,
-        tau: int,
-        chord_mask_ids: Dict[Tuple[int, int], int],
-        basis: GF2Basis,
-        dimension: int,
-    ) -> None:
-        """Feed tau-capped closures of the *whole* graph into ``basis``.
-
-        Array-backed equivalent of
-        :meth:`repro.cycles.horton.ShortCycleSpan._stream_closures`:
-        ``chord_mask_ids`` is the id-keyed chord numbering of an already
-        fixed spanning forest, so the subspace reached is identical and
-        downstream ``contains`` queries agree with the oracle.  Stops as
-        soon as the rank hits ``dimension``.
-        """
-        adj = self.adj
-        ids = self.ids
-        alive = self.alive
-        index = self.index
-        shift = max(len(ids), 1).bit_length()
-        chord_mask: Dict[int, int] = {}
-        for (a, b), mask in chord_mask_ids.items():
-            ia, ib = index[a], index[b]
-            if ia > ib:
-                ia, ib = ib, ia
-            chord_mask[(ia << shift) | ib] = mask
-        get_chord = chord_mask.get
-        seen = {0}
-        cutoff = tau // 2
-        budget = tau - 1
-        dist = self._dist
-        stamp = self._stamp
-        acc = self._acc
-        for root in range(len(ids)):
-            if not alive[root]:
-                continue
-            self._token += 1
-            tok = self._token
-            stamp[root] = tok
-            dist[root] = 0
-            acc[root] = 0
-            reached = [root]
-            frontier = [root]
-            d = 0
-            while frontier and d < cutoff:
-                nxt: List[int] = []
-                d += 1
-                for u in frontier:
-                    acc_u = acc[u]
-                    for w in adj[u]:
-                        if stamp[w] != tok:
-                            stamp[w] = tok
-                            dist[w] = d
-                            key = (u << shift) | w if u < w else (w << shift) | u
-                            acc[w] = acc_u ^ get_chord(key, 0)
-                            reached.append(w)
-                            nxt.append(w)
-                frontier = nxt
-            for x in reached:
-                dx = dist[x]
-                acc_x = acc[x]
-                for y in adj[x]:
-                    if y > x and stamp[y] == tok and dx + dist[y] <= budget:
-                        closure = acc_x ^ acc[y] ^ get_chord((x << shift) | y, 0)
-                        if closure not in seen:
-                            seen.add(closure)
-                            if basis.add(closure) and basis.rank == dimension:
-                                return
-
-    def _stream_member_closures(
-        self,
-        members: Sequence[int],
-        mrows: Dict[int, List[int]],
-        parent: List[int],
-        tau: int,
-    ) -> bool:
-        """Rank test: do the member cycles of length <= tau fill the space?
-
-        Staged enumeration, cheapest candidates first.  Girth-3 and
-        girth-4 cycles are read straight off the sorted member rows
-        (triangle = edge + common neighbour; 4-cycle = two vertices with
-        >= 2 common neighbours), with the algebraic thinning that for a
-        diagonal pair with common neighbours ``c0..ck`` only the ``k``
-        4-cycles through ``c0`` are streamed — every other 4-cycle on
-        that diagonal is their XOR.  Since every simple cycle of length
-        <= 4 is a triangle or a 4-cycle, the two stages are *complete*
-        for tau in {3, 4}: no BFS at all on the hot path.  Only tau >= 5
-        falls through to per-root truncated-BFS closure streaming for
-        the longer cycles.
-
-        Elimination is inlined (a flat pivot array indexed by leading
-        bit) with early exit at full rank — dense neighbourhoods
-        usually reach full rank midway through the triangle stage.
-        """
         # Chord numbering, stored positionally: ``amask[u][i]`` is the
-        # chord mask of edge ``(u, mrows[u][i])`` (0 for tree edges), so
-        # the enumeration stages read masks by row index — no hashed
-        # lookups in the inner loops.  Each edge is visited once from
-        # its smaller endpoint; its position in the larger endpoint's
-        # row is tracked by a per-vertex cursor (smaller neighbours of
-        # ``w`` arrive in ascending order as ``u`` sweeps the sorted
-        # member list, which is exactly row order).
+        # chord mask of edge ``(u, mrows[u][i])`` (0 for tree edges).
+        # Each edge is visited once from its smaller endpoint; its
+        # position in the larger endpoint's row is tracked by a
+        # per-vertex cursor (smaller neighbours of ``w`` arrive in
+        # ascending order as ``u`` sweeps the sorted member list, which
+        # is exactly row order).
         amask: Dict[int, List[int]] = {u: [0] * len(mrows[u]) for u in members}
         ptr = self._dist  # scratch; stage 3 reinitialises before reuse
         for u in members:
@@ -576,14 +486,48 @@ class CSRGraph:
                     bit += 1
                     arow[idx] = m
                     amask[w][p] = m
-        nu = bit
-        if nu == 0:
+        if bit == 0:
             return True
+        return self.staged_closure_pivots(members, mrows, amask, tau, bit)[0] == bit
 
-        pivots = [0] * nu
+    def staged_closure_pivots(
+        self,
+        members: Sequence[int],
+        mrows,
+        amask,
+        tau: int,
+        target: int,
+    ) -> Tuple[int, List[int]]:
+        """Eliminate the cycles of length <= tau into a flat pivot list.
+
+        ``mrows[u]`` is the sorted slot row of member ``u`` restricted to
+        members and ``amask[u][i]`` the chord-space vector of edge
+        ``(u, mrows[u][i])`` (0 for tree edges); both are indexed by
+        slot, so a k-ball's dicts and the whole graph's ``adj`` plus a
+        per-slot mask list serve alike.  Returns ``(rank, pivots)``
+        where ``pivots[b]`` is the reduced row leading at bit ``b`` (0
+        when none), stopping as soon as the rank reaches ``target``.
+        The subspace reached is the span of all cycles of length <= tau
+        — a canonical function of the graph and the chord numbering —
+        so verdicts and ``contains`` queries agree with the dict oracle.
+
+        Staged enumeration, cheapest candidates first.  Girth-3 and
+        girth-4 cycles are read straight off the sorted rows (triangle =
+        edge + common neighbour; 4-cycle = two vertices with >= 2 common
+        neighbours), with algebraic thinning: for a diagonal pair with
+        common neighbours ``c0..ck`` only the 4-cycles through ``c0``
+        are streamed (every other 4-cycle on that diagonal is their
+        XOR), and none that is the sum of two triangles already in the
+        basis.  Since every simple cycle of length <= 4 is a triangle or
+        a 4-cycle, the two stages are *complete* for tau in {3, 4}: no
+        BFS and no deduplication set.  Only tau >= 5 falls through to
+        per-root truncated-BFS closure streaming for the longer cycles.
+        Elimination is inlined (pivot array indexed by leading bit):
+        dense neighbourhoods usually reach full rank midway through the
+        triangle stage.
+        """
+        pivots = [0] * target
         rank = 0
-        seen = {0}
-        seen_add = seen.add
         stamp = self._stamp
         emask = self._acc  # scratch; stage 3 reinitialises before reuse
         # Per-vertex ``(neighbour > u, mask)`` suffix tails, zipped once:
@@ -619,34 +563,43 @@ class CSRGraph:
                                 rank += 1
                                 break
                             vec ^= row
-                        if rank == nu:
-                            return True
+                        if rank == target:
+                            return rank, pivots
         if tau == 3:
-            return rank == nu  # triangles are complete for tau == 3
+            return rank, pivots  # triangles are complete for tau == 3
 
         # Stage 2: 4-cycles.  For every diagonal (u, w), u < w, with
         # common neighbours c0..ck, stream u-c0-w-ci (i >= 1); the
         # remaining u-ci-w-cj are XORs of those, so the span is intact.
         # Wedges u-c-w are streamed as they are enumerated: the first
-        # wedge on each diagonal is held back as ``c0``'s path mask, and
-        # every later wedge closes a 4-cycle against it.
+        # wedge on each diagonal is held back (``c0`` and its two edge
+        # masks), and every later wedge closes a 4-cycle against it;
+        # masks are only XORed for a 4-cycle actually streamed.  A 4-cycle
+        # with a chord (u ~ w, or c0 ~ ci) is the sum of two triangles,
+        # all of which stage 1 streamed, so it is skipped unbuilt.
         for u in members:
-            first: Dict[int, int] = {}
+            self._token += 1
+            tok = self._token
+            for c in mrows[u]:
+                stamp[c] = tok
+            first: Dict[int, Tuple[int, int, int]] = {}
             get_first = first.get
             for c, mc in zip(mrows[u], amask[u]):
                 rc = mrows[c]
                 mcr = amask[c]
                 j0 = bisect_right(rc, u)
                 for w, mcw in zip(islice(rc, j0, None), islice(mcr, j0, None)):
-                    m = mc ^ mcw
+                    if stamp[w] == tok:
+                        continue  # u ~ w
                     prev = get_first(w)
                     if prev is None:
-                        first[w] = m
+                        first[w] = (c, mc, mcw)
                         continue
-                    vec = prev ^ m
-                    if vec in seen:
-                        continue
-                    seen_add(vec)
+                    c0, m0, m0w = prev
+                    k = bisect_left(rc, c0)
+                    if k < len(rc) and rc[k] == c0:
+                        continue  # c0 ~ c
+                    vec = m0 ^ m0w ^ mc ^ mcw
                     while vec:
                         lead = vec.bit_length() - 1
                         row = pivots[lead]
@@ -655,17 +608,20 @@ class CSRGraph:
                             rank += 1
                             break
                         vec ^= row
-                    if rank == nu:
-                        return True
+                    if rank == target:
+                        return rank, pivots
         if tau == 4:
-            return rank == nu  # triangles + 4-cycles are complete for tau == 4
+            return rank, pivots  # triangles + 4-cycles are complete for tau == 4
 
         # Stage 3 (tau >= 5): general tau-capped closure streaming —
-        # per-root truncated BFS with XOR-accumulated chord masks.
+        # per-root truncated BFS with XOR-accumulated chord masks.  A
+        # closure with dx + dy <= 3 projects to a cycle of length <= 4,
+        # already in the span stages 1-2 streamed, so it is skipped.
+        seen = {0}
+        seen_add = seen.add
         cutoff = tau // 2
         budget = tau - 1
         dist = self._dist
-        stamp = self._stamp
         acc = self._acc
         for root in members:
             self._token += 1
@@ -693,7 +649,7 @@ class CSRGraph:
                 dx = dist[x]
                 acc_x = acc[x]
                 for y, m in zip(mrows[x], amask[x]):
-                    if y > x and stamp[y] == tok and dx + dist[y] <= budget:
+                    if y > x and stamp[y] == tok and 3 < dx + dist[y] <= budget:
                         vec = acc_x ^ acc[y] ^ m
                         if vec in seen:
                             continue
@@ -706,6 +662,6 @@ class CSRGraph:
                                 rank += 1
                                 break
                             vec ^= row
-                        if rank == nu:
-                            return True
-        return rank == nu
+                        if rank == target:
+                            return rank, pivots
+        return rank, pivots

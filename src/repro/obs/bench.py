@@ -93,15 +93,20 @@ _TAU = 4
 _TARGET_DEGREE = 9.0
 
 
+def _positions(nodes: int) -> Tuple[float, Dict[int, Tuple[float, float]]]:
+    """Side length and node positions of the smoke deployment."""
+    rng = random.Random(21)
+    side = math.sqrt(nodes * math.pi / _TARGET_DEGREE)
+    return side, {
+        v: (rng.uniform(0, side), rng.uniform(0, side)) for v in range(nodes)
+    }
+
+
 def _deployment(nodes: int) -> Tuple[Any, Set[int]]:
     """The ``benchmarks/test_shard_scale.py`` deployment recipe."""
     from repro.network.topologies import geometric_graph
 
-    rng = random.Random(21)
-    side = math.sqrt(nodes * math.pi / _TARGET_DEGREE)
-    positions = {
-        v: (rng.uniform(0, side), rng.uniform(0, side)) for v in range(nodes)
-    }
+    side, positions = _positions(nodes)
     graph = geometric_graph(positions, 1.0)
     band = 1.0
     protected = {
@@ -234,7 +239,49 @@ def bench_tracer_overhead(scale: str = "smoke") -> Dict[str, Any]:
     }
 
 
+def bench_criterion_span(scale: str = "smoke") -> Dict[str, Any]:
+    """Whole-graph tau-partitionability: staged CSR kernel vs dict oracle.
+
+    Runs on the :func:`_deployment` graph; the boundary is the outer face
+    of its planar backbone (the Figure-2 boundary recipe).  ``kernel_wall_s`` includes building
+    the graph's CSR mirror, which the criterion's first call pays.
+    """
+    from repro.boundary.geometric import planar_backbone, trace_outer_face
+    from repro.core.criterion import is_tau_partitionable
+    from repro.cycles.horton import ShortCycleSpan
+    from repro.network.topologies import geometric_graph
+
+    nodes = 1_500 if scale == "smoke" else 10_000
+    __, positions = _positions(nodes)
+    graph = geometric_graph(positions, 1.0)
+    backbone = planar_backbone(graph, positions)
+    backbone = backbone.induced_subgraph(
+        max(backbone.connected_components(), key=len)
+    )
+    boundary = [trace_outer_face(backbone, positions)]
+
+    start = time.perf_counter()
+    kernel = ShortCycleSpan(graph, _TAU)
+    kernel_wall = time.perf_counter() - start
+    start = time.perf_counter()
+    oracle = ShortCycleSpan(graph, _TAU, use_csr=False)
+    oracle_wall = time.perf_counter() - start
+    return {
+        "scale": scale,
+        "nodes": nodes,
+        "tau": _TAU,
+        "rank": kernel.rank,
+        "dimension": kernel.cycle_space_dimension,
+        "partitionable": is_tau_partitionable(graph, boundary, _TAU, span=kernel),
+        "oracle_rank": oracle.rank,
+        "oracle_partitionable": is_tau_partitionable(graph, boundary, _TAU, span=oracle),
+        "kernel_wall_s": round(kernel_wall, 4),
+        "oracle_wall_s": round(oracle_wall, 4),
+    }
+
+
 BENCHES: Dict[str, Callable[[str], Dict[str, Any]]] = {
+    "criterion_span": bench_criterion_span,
     "kernel_schedule": bench_kernel_schedule,
     "shard_schedule": bench_shard_schedule,
     "tracer_overhead": bench_tracer_overhead,

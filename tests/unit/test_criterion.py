@@ -11,6 +11,8 @@ from repro.core.criterion import (
     verify_confine_coverage,
 )
 from repro.cycles.horton import ShortCycleSpan
+from repro.obs import Tracer, observe
+from repro.obs.tracer import current_tracer
 
 
 class TestCycleEdges:
@@ -95,6 +97,35 @@ class TestVerdict:
         verdict = verify_confine_coverage(grid5.graph, [grid5.outer_boundary], 3)
         assert not verdict.achieves_confine_coverage
         assert verdict.short_cycle_rank == 0  # grid has no triangles
+
+
+class TestCriterionSpan:
+    def test_partitionability_check_is_one_span(self, grid5):
+        tracer = Tracer()
+        with observe(tracer):
+            assert is_tau_partitionable(grid5.graph, [grid5.outer_boundary], 4)
+        (span,) = tracer.spans()
+        assert span.name == "criterion.span"
+        assert span.attrs == {
+            "nodes": len(grid5.graph),
+            "tau": 4,
+            "dimension": 16,
+            "rank": 16,
+            "partitionable": True,
+        }
+
+    def test_verdict_is_one_span(self, grid5):
+        tracer = Tracer()
+        with observe(tracer):
+            verdict = verify_confine_coverage(grid5.graph, [grid5.outer_boundary], 3)
+        (span,) = tracer.spans()
+        assert span.name == "criterion.span"
+        assert span.attrs["rank"] == verdict.short_cycle_rank == 0
+        assert span.attrs["partitionable"] is False
+
+    def test_disabled_tracer_records_nothing(self, grid5):
+        assert is_tau_partitionable(grid5.graph, [grid5.outer_boundary], 4)
+        assert current_tracer().spans() == []
 
 
 class TestExplicitPartition:
