@@ -39,16 +39,9 @@ def _seed_schedule(graph, protected, tau, rng, mode):
 
     Verdict cache + BFS-ball invalidation (the old ``DeletabilityCache``),
     eager candidate rebuild every round, fresh BFS per MIS candidate:
-    an engine with ball caching and span memoisation switched off meters
-    exactly that cost model.
+    the engine's one caching policy meters exactly that cost model.
     """
-    engine = LocalTopologyEngine(
-        graph.copy(),
-        tau,
-        cache_balls=False,
-        cache_verdicts=True,
-        memoize_spans=False,
-    )
+    engine = LocalTopologyEngine(graph.copy(), tau)
     work = engine.graph
     protected_set = set(protected)
     removed = []
@@ -219,8 +212,7 @@ def test_engine_speedup_distributed(benchmark, bench_record):
     print(
         f"  queries={counters.deletability_queries} "
         f"tests={counters.deletability_tests} "
-        f"spans={counters.span_computations} "
-        f"memo_hits={counters.span_memo_hits} wall={wall:.3f}s"
+        f"spans={counters.span_computations} wall={wall:.3f}s"
     )
     # The seed protocol re-tested every queried node from scratch (one
     # span computation per deletability query, no caching); the engine

@@ -1,12 +1,12 @@
 """CSR kernel speedup over the PR 1 dict-based engine, plus parallel-layer
 equivalence.  Results land in ``BENCH_kernel.json`` at the repo root.
 
-The PR 1 engine answered every primitive through dict-of-sets BFS and
-frozenset ball caches; the CSR kernel answers the same primitives on
-int-indexed compact adjacency (slot arrays, chord masks, tau-capped
-closure streaming).  This bench replays the *exact* PR 1 scheduling loop
+The first engine answered every primitive through dict-of-sets BFS;
+the CSR kernel answers the same primitives on int-indexed compact
+adjacency (slot arrays, chord masks, tau-capped closure streaming).
+This bench replays that engine's *exact* scheduling loop
 (per-candidate separation-ball probe against the winner set, costs
-served by a ``use_kernel=False`` engine with its caches on) against the
+served by the ``use_kernel=False`` dict oracle engine) against the
 kernel-backed ``dcc_schedule`` and asserts
 
 * the deletion schedules are identical vertex-for-vertex (hop distance
@@ -52,9 +52,11 @@ def _deployment():
 def _pr1_schedule(graph, protected, tau, rng, mode):
     """The PR 1 scheduler loop, verbatim, on the dict-based engine.
 
-    Lazy MIS with a per-candidate separation-ball probe (cached
-    frozensets), dict-BFS primitives, signature-memoised verdicts —
-    exactly the configuration PR 1 shipped as its fast path.
+    Lazy MIS with a per-candidate separation-ball probe, dict-BFS
+    primitives and cached per-vertex verdicts.  The first engine also
+    cached the probe balls and memoised verdicts on subgraph
+    signatures; the engine no longer has either, so this baseline is
+    the dict engine without them (every probe is a fresh dict BFS).
     """
     engine = LocalTopologyEngine(graph.copy(), tau, use_kernel=False)
     work = engine.graph

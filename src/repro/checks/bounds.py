@@ -221,8 +221,6 @@ _SINKS: Dict[str, SinkSpec] = {
     "ball_ids": SinkSpec(1, "radius", "unknown"),
     "ball_slots": SinkSpec(1, "radius", "unknown"),
     "punctured_ball_slots": SinkSpec(1, "radius", "unknown"),
-    "ball_intersects": SinkSpec(1, "radius", "unknown"),
-    "blocked": SinkSpec(1, "radius", "unknown"),
     "k_hop_neighborhood": SinkSpec(1, None, "unknown"),
     "bfs_distances": SinkSpec(1, "cutoff", "unbounded"),
     "_multi_source_distances": SinkSpec(2, "cutoff", "unbounded"),

@@ -837,7 +837,7 @@ class SeedPlumbingRule(Rule):
 #: ``repro/shard/`` (plan, halo, scheduler) *is* the coordinator side.
 _SHARD_LOCAL_SUFFIX = "repro/shard/runtime.py"
 
-#: Coordinator-scope vocabulary.  A shard sees only its partition blob
+#: Coordinator-scope vocabulary.  A shard sees only its partition parts
 #: (owned + halo vertices and their induced edges); any of these names
 #: appearing in shard-local code means deployment-global state leaked
 #: across the halo-exchange boundary.
@@ -917,7 +917,7 @@ class ShardLocalityRule(Rule):
                     node,
                     f"coordinator-scope name `{node.id}` {how} in "
                     "shard-local code; verdicts must derive from the "
-                    "partition blob alone",
+                    "partition parts alone",
                 )
 
 

@@ -12,8 +12,7 @@ the env var so parallel worker processes sanitize too.  When active:
   and compared;
 * every **verdict-cache hit** is compared against a fresh recompute
   (stride-sampled via ``REPRO_SANITIZE_STRIDE``, default: every hit);
-* every **kernel k-ball** (and MIS ``ball_intersects`` probe) is
-  compared against the dict BFS;
+* every **kernel k-ball** is compared against the dict BFS;
 * every **parallel metrics merge** of three or more worker payloads is
   re-associated — ``merge(a, merge(b, c))`` against
   ``merge(merge(a, b), c)`` — and the resulting registries compared.
@@ -35,7 +34,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from repro import knobs
 from repro.cycles.horton import ShortCycleSpan
@@ -237,21 +236,6 @@ class Sanitizer:
                 radius=radius,
                 missing=sorted(expected - got)[:5],
                 extra=sorted(got - expected)[:5],
-            )
-
-    def check_ball_intersects(
-        self, graph: Any, v: int, radius: int, blockers: Set[int], hit: bool
-    ) -> None:
-        """The MIS separation probe against the dict-oracle ball."""
-        self._count("ball_intersects")
-        expected = not frozenset(blockers).isdisjoint(oracle_ball(graph, v, radius))
-        if expected != hit:
-            self._violate(
-                "kernel-intersect-divergence",
-                vertex=v,
-                radius=radius,
-                kernel=hit,
-                oracle=expected,
             )
 
     def check_merge(self, payloads: Sequence[Sequence[Any]]) -> None:

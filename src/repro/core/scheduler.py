@@ -82,8 +82,7 @@ def mis_by_distance(
     Emulates the distributed random-priority MIS: candidates are visited in
     a random order (the priority draw) and join the set when no earlier
     member lies within ``min_separation - 1`` hops.  With an ``engine``, the
-    separation balls are served from its cache and survive across rounds —
-    only candidates near a previous round's deletions are re-extracted.
+    separation balls come from its CSR mirror (and land in its counters).
     """
     order = list(candidates)
     rng.shuffle(order)

@@ -233,43 +233,6 @@ class CSRGraph:
         slots.sort()
         return slots
 
-    def ball_intersects(
-        self, source: int, radius: int, targets
-    ) -> Tuple[bool, int]:
-        """Does the ``radius``-ball of id ``source`` contain a target id?
-
-        Early-exit BFS: returns ``(hit, vertices expanded)`` without
-        materialising the ball.  ``targets`` is any id container with
-        fast membership.
-        """
-        src = self.index.get(source)
-        if src is None:
-            raise KeyError(f"vertex {source} not in graph")
-        if source in targets:
-            return True, 1
-        adj = self.adj
-        ids = self.ids
-        self._token += 1
-        token = self._token
-        stamp = self._stamp
-        stamp[src] = token
-        expanded = 1
-        frontier = [src]
-        d = 0
-        while frontier and d < radius:
-            nxt: List[int] = []
-            d += 1
-            for u in frontier:
-                for w in adj[u]:
-                    if stamp[w] != token:
-                        stamp[w] = token
-                        expanded += 1
-                        if ids[w] in targets:
-                            return True, expanded
-                        nxt.append(w)
-            frontier = nxt
-        return False, expanded
-
     def shortest_path_tree(
         self, root: int, cutoff: Optional[int] = None
     ) -> Tuple[Dict[int, int], Dict[int, int]]:
@@ -312,92 +275,7 @@ class CSRGraph:
         index = self.index
         return sorted(index[v] for v in member_ids)
 
-    def subgraph_signature(
-        self, members: Sequence[int]
-    ) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
-        """The canonical ``(sorted ids, sorted edges)`` signature.
-
-        Byte-identical to ``SubgraphView.signature()`` on the same
-        member set, so kernel- and view-computed verdicts share one
-        :class:`~repro.topology.signature.SpanMemo` keyspace.  While
-        :attr:`monotone_ids` holds, slot-sorted ``members`` and
-        slot-sorted rows are already id-sorted, so both sorts vanish.
-        """
-        ids = self.ids
-        adj = self.adj
-        self._member_token += 1
-        token = self._member_token
-        mstamp = self._member_stamp
-        for i in members:
-            mstamp[i] = token
-        edges: List[Tuple[int, int]] = []
-        append = edges.append
-        if self.monotone_ids:
-            # Slot order is id order: ``members`` (sorted slots) and the
-            # per-row edge emission are already lexicographically sorted.
-            for i in members:
-                a = ids[i]
-                for j in adj[i]:
-                    if mstamp[j] == token and i < j:
-                        append((a, ids[j]))
-            return tuple(map(ids.__getitem__, members)), tuple(edges)
-        for i in members:
-            a = ids[i]
-            for j in adj[i]:
-                if mstamp[j] == token:
-                    b = ids[j]
-                    if a < b:
-                        append((a, b))
-        edges.sort()
-        return tuple(sorted(ids[i] for i in members)), tuple(edges)
-
-    def member_rows_signature(
-        self, members: Sequence[int]
-    ) -> Tuple[
-        Dict[int, List[int]],
-        Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]],
-    ]:
-        """Member-restricted rows and the canonical signature, one pass.
-
-        The signature scan already filters every member's row down to
-        members; handing those rows back lets
-        :meth:`span_connected_verdict` skip its own full-row rescan.
-        ``members`` must be sorted slots.
-        """
-        ids = self.ids
-        adj = self.adj
-        self._member_token += 1
-        token = self._member_token
-        mstamp = self._member_stamp
-        for i in members:
-            mstamp[i] = token
-        mrows: Dict[int, List[int]] = {}
-        edges: List[Tuple[int, int]] = []
-        append = edges.append
-        monotone = self.monotone_ids
-        for i in members:
-            a = ids[i]
-            row = [j for j in adj[i] if mstamp[j] == token]
-            mrows[i] = row
-            for j in row:
-                if i < j:
-                    append((a, ids[j]))
-        if monotone:
-            return mrows, (tuple(map(ids.__getitem__, members)), tuple(edges))
-        sig_edges = sorted(
-            (a, b) if a < b else (b, a) for a, b in edges
-        )
-        return mrows, (
-            tuple(sorted(ids[i] for i in members)),
-            tuple(sig_edges),
-        )
-
-    def span_connected_verdict(
-        self,
-        members: Sequence[int],
-        tau: int,
-        mrows: Optional[Dict[int, List[int]]] = None,
-    ) -> bool:
+    def span_connected_verdict(self, members: Sequence[int], tau: int) -> bool:
         """Definition 5 verdict on the induced subgraph of ``members``.
 
         True iff the induced subgraph is connected *and* its cycles of
@@ -405,40 +283,29 @@ class CSRGraph:
         entirely over slot arrays: one restricted BFS builds the
         spanning tree and proves connectivity, a second pass numbers the
         chords, then staged cycle enumeration feeds the elimination with
-        early exit at full rank.  ``mrows`` (member-restricted sorted
-        rows, e.g. from :meth:`member_rows_signature`) lets the BFS skip
-        re-filtering the full adjacency rows.  The subspace spanned is a
-        canonical function of the subgraph, so the verdict agrees with
-        the dict-based :class:`~repro.cycles.horton.ShortCycleSpan`
-        oracle.
+        early exit at full rank.  The subspace spanned is a canonical
+        function of the subgraph, so the verdict agrees with the
+        dict-based :class:`~repro.cycles.horton.ShortCycleSpan` oracle.
         """
         trc = self.tracer
         if trc is None or not trc.enabled:
-            return self._span_connected_verdict(members, tau, mrows)
+            return self._span_connected_verdict(members, tau)
         with trc.trace("kernel.span_verdict", members=len(members), tau=tau):
-            return self._span_connected_verdict(members, tau, mrows)
+            return self._span_connected_verdict(members, tau)
 
-    def _span_connected_verdict(
-        self,
-        members: Sequence[int],
-        tau: int,
-        mrows: Optional[Dict[int, List[int]]] = None,
-    ) -> bool:
+    def _span_connected_verdict(self, members: Sequence[int], tau: int) -> bool:
         if tau < 3:
             raise ValueError("tau must be at least 3 (the shortest cycle)")
         count = len(members)
         if count == 0:
             return True
-        if mrows is None:
-            adj = self.adj
-            self._member_token += 1
-            token = self._member_token
-            mstamp = self._member_stamp
-            for i in members:
-                mstamp[i] = token
-            mrows = {
-                u: [w for w in adj[u] if mstamp[w] == token] for u in members
-            }
+        adj = self.adj
+        self._member_token += 1
+        token = self._member_token
+        mstamp = self._member_stamp
+        for i in members:
+            mstamp[i] = token
+        mrows = {u: [w for w in adj[u] if mstamp[w] == token] for u in members}
 
         # Spanning tree + connectivity from the lowest slot; ``parent``
         # doubles as the visited mark (-1 = member not yet reached).

@@ -25,7 +25,6 @@ from repro.shard.plan import (
     ShardPlan,
     ShardSpec,
     build_shard_plan,
-    partition_blob,
     partition_parts,
 )
 from repro.shard.scheduler import ShardStats, sharded_dcc_schedule
@@ -36,7 +35,6 @@ __all__ = [
     "ShardSpec",
     "ShardStats",
     "build_shard_plan",
-    "partition_blob",
     "partition_parts",
     "sharded_dcc_schedule",
 ]

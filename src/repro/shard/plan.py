@@ -25,7 +25,6 @@ the partition seed never leaks into results.
 
 from __future__ import annotations
 
-import pickle
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -97,10 +96,10 @@ def partition_parts(
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Tuple]:
     """A shard's partition as plain tuples (no object graph).
 
-    ``(owned, halo, boundary, induced edges sorted)`` — the in-process
+    ``(owned, halo, boundary, induced edges sorted)`` — the one
     transport: the inline backend hands this straight to
-    :class:`~repro.shard.runtime.LocalShard`, and the pickled transport
-    derives from it.
+    :class:`~repro.shard.runtime.LocalShard`, and the worker pool ships
+    it in each worker's startup message.
     """
     members = set(spec.members)
     edges: List[Tuple[int, int]] = []
@@ -110,13 +109,6 @@ def partition_parts(
                 edges.append((u, v))
     edges.sort()
     return (spec.owned, spec.halo, spec.boundary, tuple(edges))
-
-
-def partition_blob(graph: NetworkGraph, spec: ShardSpec) -> bytes:
-    """:func:`partition_parts`, pickled (the cross-process byte blob)."""
-    return pickle.dumps(
-        partition_parts(graph, spec), protocol=pickle.HIGHEST_PROTOCOL
-    )
 
 
 def _farthest_seeds(

@@ -2,7 +2,7 @@
 
 This module is the *local* side of the shard abstraction, the analogue
 of a per-region process on real hardware.  A :class:`LocalShard` is
-constructed from a partition blob (its own owned/halo membership and
+constructed from its partition parts (its own owned/halo membership and
 induced edges — never the plan or the global graph) and afterwards
 communicates exclusively through rows handed to / returned from its
 methods.  The REPRO113 lint rule enforces that discipline statically
@@ -28,7 +28,6 @@ priority draw.
 
 from __future__ import annotations
 
-import pickle
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.network.graph import NetworkGraph
@@ -43,10 +42,9 @@ PriorityRow = Tuple[int, int]  # (vertex, priority index)
 class LocalShard:
     """One shard's partition engine and per-round MIS state.
 
-    ``source`` is either partition transport, normalised here: a
-    pickled blob (:func:`~repro.shard.plan.partition_blob`) or a plain
-    parts tuple (:func:`~repro.shard.plan.partition_parts`, the inline
-    backend's zero-copy hand-off and the pool's startup message).
+    ``source`` is the partition as a plain parts tuple
+    (:func:`~repro.shard.plan.partition_parts`: the inline backend's
+    zero-copy hand-off and the pool's startup message).
     """
 
     def __init__(
@@ -59,8 +57,6 @@ class LocalShard:
         # precedes the begin it rides with, so its spans belong to r + 1.
         self._round = -1
         self._subround = 0
-        if isinstance(source, (bytes, bytearray)):
-            source = pickle.loads(source)
         owned, halo, boundary, edges = source
         partition = NetworkGraph(tuple(owned) + tuple(halo))
         for u, v in edges:

@@ -4,10 +4,10 @@ This subpackage owns the primitive that the VPT deletability test
 (Definition 5), the DCC scheduler rounds, boundary repair, lifetime
 rotation and the distributed protocol all reduce to: extract a punctured
 k-hop neighbourhood and decide whether short cycles span its GF(2) cycle
-space.  :class:`LocalTopologyEngine` maintains that state incrementally
-under vertex/edge mutation instead of recomputing it from scratch — see
-``DESIGN.md`` ("The topology-engine layer") for the invalidation
-invariant and the instrumentation counters.
+space.  :class:`LocalTopologyEngine` caches one verdict per vertex and
+evicts only the verdicts a mutation can change, instead of recomputing
+them from scratch — see ``DESIGN.md`` ("The topology-engine layer") for the
+invalidation invariant and the instrumentation counters.
 """
 
 from repro.topology.counters import TopologyCounters
@@ -23,16 +23,12 @@ from repro.topology.radii import (
     neighborhood_radius,
     stage_cutoff,
 )
-from repro.topology.signature import SpanMemo, SubgraphSignature, graph_signature
 
 __all__ = [
     "LocalTopologyEngine",
     "OwnedRegionError",
-    "SpanMemo",
-    "SubgraphSignature",
     "TopologyCounters",
     "flood_ttl",
-    "graph_signature",
     "halo_radius",
     "mis_separation",
     "neighborhood_radius",

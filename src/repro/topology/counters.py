@@ -2,10 +2,10 @@
 
 Every expensive primitive the engine performs — punctured-neighbourhood
 BFS extraction, short-cycle-span construction, deletability verdicts —
-is counted here, together with the cache events that *avoided* one.  The
-counters ride on :class:`repro.core.scheduler.ScheduleResult` and
-:class:`repro.runtime.stats.RuntimeStats`, so benchmarks can quantify
-redundant work without profiling.
+is counted here, together with the verdict-cache events that *avoided*
+one.  The counters ride on :class:`repro.core.scheduler.ScheduleResult`
+and :class:`repro.runtime.stats.RuntimeStats`, so benchmarks can
+quantify redundant work without profiling.
 """
 
 from __future__ import annotations
@@ -25,16 +25,8 @@ class TopologyCounters:
     deletability_tests: int = 0
     #: ``ShortCycleSpan`` constructions actually performed
     span_computations: int = 0
-    #: span verdicts served from the signature-keyed memo
-    span_memo_hits: int = 0
-    #: memo lookups that found nothing (verdict had to be computed)
-    span_memo_misses: int = 0
-    #: LRU entries this engine's inserts pushed out of the shared memo
-    span_memo_evictions: int = 0
     #: k-ball BFS extractions actually performed
     ball_computations: int = 0
-    #: ball requests served from the ball cache
-    ball_cache_hits: int = 0
     #: vertices expanded across all engine-run BFS traversals
     bfs_expansions: int = 0
     #: cached entries dropped by dirty-region invalidation
@@ -53,12 +45,8 @@ class TopologyCounters:
             f"deletability: {self.deletability_queries} queries "
             f"({self.deletability_cache_hits} cached, "
             f"{self.deletability_tests} fresh) | "
-            f"spans: {self.span_computations} computed, "
-            f"{self.span_memo_hits} memoised "
-            f"({self.span_memo_misses} misses, "
-            f"{self.span_memo_evictions} evictions) | "
-            f"balls: {self.ball_computations} BFS, "
-            f"{self.ball_cache_hits} cached "
+            f"spans: {self.span_computations} computed | "
+            f"balls: {self.ball_computations} BFS "
             f"({self.bfs_expansions} expansions) | "
             f"{self.invalidations} invalidations"
         )

@@ -2,14 +2,30 @@
 
 import pytest
 
+from repro.analysis import experiments
 from repro.analysis.experiments import (
     run_fig1_mobius,
     run_fig2_vertex_deletion,
     run_fig3_confine_size,
     run_fig4_hgc_comparison,
     run_fig5_rssi_cdf,
+    run_trace_confine,
 )
+from repro.obs import MetricsRegistry, Tracer, observe
 from repro.traces.greenorbs import GreenOrbsConfig, generate_greenorbs_trace
+
+
+def _counting(monkeypatch, name):
+    """Replace ``experiments.<name>`` with a wrapper counting its calls."""
+    calls = []
+    original = getattr(experiments, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, wrapper)
+    return calls
 
 
 class TestFig1:
@@ -31,6 +47,18 @@ class TestFig2:
             assert result.preserved(tau), "Theorem 5 violated"
         assert result.active_by_tau[4] <= result.active_by_tau[3]
         assert "Figure 2" in result.format_table()
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_observed_run_builds_the_deployment_once(self, monkeypatch, shards):
+        kwargs = dict(count=120, degree=14.0, taus=(3, 4, 5), seed=1, shards=shards)
+        plain = run_fig2_vertex_deletion(**kwargs)
+        calls = _counting(monkeypatch, "network_for_average_degree")
+        tracer = Tracer()
+        with observe(tracer, MetricsRegistry()):
+            observed = run_fig2_vertex_deletion(**kwargs)
+        assert len(calls) == 1
+        assert observed.format_table() == plain.format_table()
+        assert any(s.name.startswith("scheduler.") for s in tracer.spans())
 
 
 class TestFig3:
@@ -66,6 +94,21 @@ class TestFig4:
         # relaxed requirement can only increase the feasible tau
         assert result.tau_used[(1.2, 1.0)] >= result.tau_used[(0.0, 1.0)]
         assert "Figure 4" in result.format_table()
+
+
+class TestTraceConfine:
+    def test_observed_run_builds_the_topology_once(self, monkeypatch):
+        config = GreenOrbsConfig(
+            node_count=120, clusters=6, epochs=24,
+            strip_width=220.0, strip_height=80.0,
+        )
+        plain = run_trace_confine(taus=(3, 4), config=config, seed=4)
+        calls = _counting(monkeypatch, "generate_greenorbs_trace")
+        with observe(Tracer(), MetricsRegistry()):
+            observed = run_trace_confine(taus=(3, 4), config=config, seed=4)
+        assert len(calls) == 1
+        assert observed.inner_left_by_tau == plain.inner_left_by_tau
+        assert observed.boundary_nodes == plain.boundary_nodes
 
 
 class TestFig5:

@@ -1,7 +1,7 @@
 """The CSR kernel: compact-adjacency primitives against the dict oracle.
 
 Every primitive the kernel fast-paths (BFS distances, hop balls,
-punctured balls, signatures, span verdicts) has a dict-based reference
+punctured balls, span verdicts) has a dict-based reference
 implementation that stays in the tree as the oracle; these tests pin
 the kernel to it, including across incremental mutations and on the
 non-monotone slot path (vertices added out of id order).
@@ -63,50 +63,6 @@ def test_ball_primitives_match_dict_bfs():
             slots = csr.punctured_ball_slots(v, radius)
             assert csr.index[v] not in slots
             assert frozenset(csr.ids[i] for i in slots) == ball - {v}
-
-
-def test_ball_intersects_agrees_with_ball_ids():
-    g = _random_graph(6)
-    csr = g.csr()
-    rng = random.Random(0)
-    for v in g.vertices():
-        blockers = {u for u in g.vertices() if rng.random() < 0.15}
-        hit, _ = csr.ball_intersects(v, 2, blockers)
-        assert hit == (not blockers.isdisjoint(csr.ball_ids(v, 2)))
-
-
-def test_signatures_match_subgraph_view():
-    g = _random_graph(7)
-    csr = g.csr()
-    rng = random.Random(1)
-    for _ in range(10):
-        members_ids = sorted(
-            v for v in g.vertices() if rng.random() < 0.5
-        )
-        view_sig = g.subgraph_view(frozenset(members_ids)).signature()
-        slots = csr.member_slots(members_ids)
-        assert csr.subgraph_signature(slots) == view_sig
-        mrows, sig = csr.member_rows_signature(slots)
-        assert sig == view_sig
-        for slot in slots:
-            assert mrows[slot] == [j for j in csr.adj[slot] if j in set(slots)]
-
-
-def test_signatures_match_on_non_monotone_slots():
-    g = NetworkGraph([10, 20, 30, 40])
-    g.add_edge(10, 20)
-    g.add_edge(20, 30)
-    csr = g.csr()
-    csr.add_vertex(15)  # id between existing ids -> slot order != id order
-    csr.add_edge(15, 30)
-    csr.add_edge(15, 10)
-    assert not csr.monotone_ids
-    members_ids = [10, 15, 20, 30]
-    view_sig = g.subgraph_view(frozenset(members_ids)).signature()
-    slots = csr.member_slots(members_ids)
-    assert csr.subgraph_signature(slots) == view_sig
-    _, sig = csr.member_rows_signature(slots)
-    assert sig == view_sig
 
 
 @pytest.mark.parametrize("tau", [3, 4, 5, 6])

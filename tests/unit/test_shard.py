@@ -23,7 +23,7 @@ from repro.shard import (
     HaloExchange,
     ShardPlan,
     build_shard_plan,
-    partition_blob,
+    partition_parts,
     sharded_dcc_schedule,
 )
 from repro.shard.runtime import LocalShard
@@ -164,7 +164,7 @@ class TestOwnedRegionGuard:
         graph = _random_graph(23)
         plan = build_shard_plan(graph, tau=3, shards=2, seed=0)
         spec = plan.specs[0]
-        shard = LocalShard(0, 3, partition_blob(graph, spec))
+        shard = LocalShard(0, 3, partition_parts(graph, spec))
         assert shard.owned == spec.owned
         assert shard.halo == spec.halo
         # Slots are ranks in the sorted member list, disjoint and total.
@@ -178,7 +178,7 @@ class TestOwnedRegionGuard:
         graph = _random_graph(29)
         plan = build_shard_plan(graph, tau=3, shards=2, seed=1)
         spec = plan.specs[0]
-        shard = LocalShard(0, 3, partition_blob(graph, spec))
+        shard = LocalShard(0, 3, partition_parts(graph, spec))
         owned_rows = [(v, i) for i, v in enumerate(spec.owned)]
         shard.begin_round(owned_rows, [])
         while True:
