@@ -25,8 +25,8 @@ so the numbers are interpretable; the same convention as the
 ``REPRO_BENCH_SCALE=smoke`` shrinks the deployment for CI;
 ``REPRO_BENCH_SHARDS`` overrides the shard count.  The ``slow``-marked
 bench is the 100k-node fig2-style curve (``criterion=False`` skips the
-whole-graph GF(2) span, whose full-width pivot rows would need ~7 GB at
-100k — the schedule itself is local work).
+whole-graph GF(2) span, ~10 s at 100k, to time the schedule, which is
+local work).
 """
 
 import json

@@ -177,10 +177,10 @@ def run_fig2_vertex_deletion(
     chaos/attribution accounting in this process.
     ``criterion=False`` skips the full-graph partitionability checks.
     The schedule is local work; the criterion is a whole-graph GF(2)
-    span: ~1.3 s and ~160 MB on a 10k-node initial graph on a 2-vCPU
-    Linux machine (DESIGN.md section 5), and its pivot rows would need
-    ~7 GB at 100k.  The 100k fig2-style run uses both
-    together.
+    span on sparse rows: ~0.8 s and ~15 MB on a 10k-node initial graph
+    on a 2-vCPU Linux machine, ~10 s and ~240 MB at 100k (DESIGN.md
+    section 5).  Skipping it saves that time; the 100k fig2-style bench
+    uses ``criterion=False`` together with ``shards``.
     """
     from repro.parallel import parallel_starmap
 

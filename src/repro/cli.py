@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "skip the full-graph tau-partitionability checks (fig2 only; "
-            "about 1.3 s at 10k nodes; ~7 GB of GF(2) rows at 100k)"
+            "saves about 0.8 s at 10k nodes and 10 s at 100k)"
         ),
     )
     parser.add_argument(

@@ -4,37 +4,51 @@ The cycle space of a graph is a vector space over GF(2); we represent its
 elements as arbitrary-precision Python integers used as bitmasks.  XOR is
 vector addition, and Gaussian elimination reduces to a pivot-indexed
 dictionary of reduced rows.  CPython's big-integer XOR runs in C, which makes
-this representation the fastest pure-Python option by a wide margin.
+this representation the fastest pure-Python option by a wide margin while
+vectors are short.  Over a whole graph's ``nu``-dimensional cycle space
+a reduced row is a handful of set bits in a ``nu``-bit int, so there
+:class:`GF2Basis` takes sparse frozensets of ids instead (``lead_of=max``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 
 class GF2Basis:
     """An incrementally built, pivot-reduced basis of GF(2) vectors.
 
-    Rows are stored indexed by their leading (highest) set bit.  ``add``
-    performs one step of online Gaussian elimination.
+    Rows are stored indexed by their lead, ``lead_of(row)``: by default
+    ``int.bit_length`` on bitmask ints (the highest set bit, counted
+    from 1).  Any vectors closed under ``^`` and falsy only at zero
+    work, given a lead that is distinct for reduced rows — e.g.
+    frozensets of positive ids with ``lead_of=max``.  ``add`` performs
+    one step of online Gaussian elimination.
     """
 
-    __slots__ = ("_pivots",)
+    __slots__ = ("_pivots", "_lead")
 
-    def __init__(self, vectors: Iterable[int] = ()) -> None:
-        self._pivots: Dict[int, int] = {}
+    def __init__(
+        self,
+        vectors: Iterable[Any] = (),
+        lead_of: Callable[[Any], int] = int.bit_length,
+    ) -> None:
+        self._pivots: Dict[int, Any] = {}
+        self._lead = lead_of
         for vec in vectors:
             self.add(vec)
 
     @classmethod
-    def from_pivots(cls, rows: Iterable[int]) -> "GF2Basis":
-        """A basis over already pivot-reduced rows (distinct leading bits).
+    def from_pivots(
+        cls, rows: Iterable[Any], lead_of: Callable[[Any], int] = int.bit_length
+    ) -> "GF2Basis":
+        """A basis over already pivot-reduced rows (distinct leads).
 
-        Zero entries are skipped, so a flat pivot array indexed by
-        leading bit can be handed over as is.
+        Falsy entries are skipped, so a flat pivot array indexed by
+        lead can be handed over as is.
         """
-        basis = cls()
-        basis._pivots = {row.bit_length() - 1: row for row in rows if row}
+        basis = cls(lead_of=lead_of)
+        basis._pivots = {lead_of(row): row for row in rows if row}
         return basis
 
     @property
@@ -42,38 +56,39 @@ class GF2Basis:
         """Dimension of the span of all vectors added so far."""
         return len(self._pivots)
 
-    def reduce(self, vector: int) -> int:
+    def reduce(self, vector: Any) -> Any:
         """Reduce ``vector`` against the basis; the residue is returned.
 
-        A zero residue means the vector lies in the span of the basis.
+        A zero (falsy) residue means the vector lies in the span of the
+        basis.
         """
         pivots = self._pivots
+        lead_of = self._lead
         while vector:
-            lead = vector.bit_length() - 1
-            row = pivots.get(lead)
+            row = pivots.get(lead_of(vector))
             if row is None:
                 break
             vector ^= row
         return vector
 
-    def add(self, vector: int) -> bool:
+    def add(self, vector: Any) -> bool:
         """Insert ``vector``; return ``True`` iff it increased the rank."""
         residue = self.reduce(vector)
-        if residue == 0:
+        if not residue:
             return False
-        self._pivots[residue.bit_length() - 1] = residue
+        self._pivots[self._lead(residue)] = residue
         return True
 
-    def contains(self, vector: int) -> bool:
+    def contains(self, vector: Any) -> bool:
         """``True`` iff ``vector`` is in the span of the basis."""
-        return self.reduce(vector) == 0
+        return not self.reduce(vector)
 
-    def vectors(self) -> List[int]:
+    def vectors(self) -> List[Any]:
         """The reduced basis rows (one per pivot)."""
         return list(self._pivots.values())
 
     def copy(self) -> "GF2Basis":
-        clone = GF2Basis()
+        clone = GF2Basis(lead_of=self._lead)
         clone._pivots = dict(self._pivots)
         return clone
 

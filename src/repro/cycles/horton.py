@@ -18,22 +18,26 @@ Performance notes
 -----------------
 All linear algebra happens in the *chord space*: after fixing a BFS spanning
 forest, a cycle is identified by its set of non-tree edges (chords), an
-isomorphism from the cycle space onto GF(2)^nu.  Vectors are ``nu``-bit
-integers rather than ``|E|``-bit ones, which shrinks every XOR.
+isomorphism from the cycle space onto GF(2)^nu.  The dict oracle and the
+Horton basis hold vectors as ``nu``-bit integers rather than ``|E|``-bit
+ones, which shrinks every XOR.
 
 On real graphs :class:`ShortCycleSpan` runs the CSR kernel's staged
 enumeration (:meth:`repro.cycles.kernel.CSRGraph.staged_closure_pivots`,
 the one the local verdicts use): triangles and thinned 4-cycles straight
-off the sorted rows, truncated-BFS closures only for ``tau >= 5``.  The
-vectors stay ``nu`` bits wide, so the pivot rows grow with the graph:
-about 74 MB at 10k nodes, which would be ~7 GB at 100k — the reason
-100k-node runs still skip the whole-graph criterion.
+off the sorted rows, truncated-BFS closures only for ``tau >= 5``.  There
+a vector is the frozenset of its chord ids (:class:`_SlotChords` numbers
+them in BFS order), and a reduced row holds a few ids rather than
+``nu`` bits, so memory stays linear in ``nu``: ~650 bytes per dimension,
+a ~22 MB tracemalloc peak at 10k nodes and ~240 MB at 100k (~0.6 s and
+~10 s on a 2-vCPU Linux machine; ``BENCH_kernel.json``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.cycles.cycle_space import (
     Cycle,
@@ -149,6 +153,83 @@ class _ChordSpace:
         return mask
 
 
+_NO_CHORD: FrozenSet[int] = frozenset()
+
+
+class _SlotChords:
+    """BFS spanning forest over a CSR mirror's alive slots, sparse chords.
+
+    The forest grows from the lowest unreached slot; chords get ids
+    ``1..nu`` in forest BFS order of their earlier endpoint (then slot
+    order along its row), so chords of nearby edges get nearby ids and
+    the reduced rows (lead = largest id) stay a handful of ids each.
+    ``vectors[i][k]`` is the chord vector of edge ``(i, rows[i][k])``:
+    a one-element frozenset for a chord, the empty one for a tree edge.
+    ``nu`` counts the chords, i.e. edges - vertices + forest roots.
+    ``order`` lists the alive slots in BFS order — the member order the
+    staged kernel eliminates in.  ``rows`` and ``index`` are snapshots,
+    so projections stay aligned with the numbering if the graph changes.
+    """
+
+    __slots__ = ("index", "rows", "vectors", "order", "nu")
+
+    def __init__(self, csr) -> None:
+        self.index: Dict[int, int] = dict(csr.index)
+        rows = [tuple(row) for row in csr.adj]
+        self.rows = rows
+        parent = [-1] * len(rows)
+        seq = [0] * len(rows)
+        order: List[int] = []
+        for root, live in enumerate(csr.alive):
+            if not live or parent[root] >= 0:
+                continue
+            parent[root] = root
+            head = len(order)
+            order.append(root)
+            while head < len(order):
+                u = order[head]
+                seq[u] = head
+                head += 1
+                for w in rows[u]:
+                    if parent[w] < 0:
+                        parent[w] = u
+                        order.append(w)
+        self.order = order
+        vectors = [[_NO_CHORD] * len(row) for row in rows]
+        chord = 0
+        for u in order:
+            su = seq[u]
+            vrow = vectors[u]
+            for k, w in enumerate(rows[u]):
+                # Each edge once, from its earlier endpoint in BFS order;
+                # a later ``w`` is a tree child of ``u`` or a chord.
+                if seq[w] > su and parent[w] != u:
+                    chord += 1
+                    vec = frozenset((chord,))
+                    vrow[k] = vec
+                    vectors[w][bisect_left(rows[w], u)] = vec
+        self.vectors = vectors
+        self.nu = chord
+
+    def project_edges(self, edges: Sequence[Edge]) -> Optional[FrozenSet[int]]:
+        """Chord vector of an edge set; ``None`` if an edge is unknown."""
+        index = self.index
+        rows = self.rows
+        vectors = self.vectors
+        acc: Set[int] = set()
+        for u, v in edges:
+            i = index.get(u)
+            j = index.get(v)
+            if i is None or j is None:
+                return None
+            row = rows[i]
+            k = bisect_left(row, j)
+            if k == len(row) or row[k] != j:
+                return None
+            acc ^= vectors[i][k]
+        return frozenset(acc)
+
+
 def _edge_set_has_even_degrees(edges: Sequence[Edge]) -> bool:
     degree: Dict[int, int] = {}
     for u, v in edges:
@@ -165,10 +246,10 @@ class ShortCycleSpan:
     is a GF(2) sum of Horton candidates of length at most ``L``.
 
     Graphs with a CSR mirror run the staged kernel over every alive slot
-    with the chord numbering of :class:`_ChordSpace` read positionally;
-    ``use_csr=False`` (and graph views) stream tree-path closures through
-    dicts instead — the reference oracle.  Both reach the same subspace,
-    so ranks and ``contains`` answers agree.
+    on the sparse chord vectors of :class:`_SlotChords`; ``use_csr=False``
+    (and graph views) stream tree-path closures through dicts over the
+    int masks of :class:`_ChordSpace` instead — the reference oracle.
+    Both reach the same subspace, so ranks and ``contains`` answers agree.
     """
 
     def __init__(
@@ -178,29 +259,31 @@ class ShortCycleSpan:
             raise ValueError("tau must be at least 3 (the shortest cycle)")
         self.graph = graph
         self.tau = tau
-        self._chords = _ChordSpace(graph)
-        self._dimension = cycle_space_dimension(graph)
-        self._basis = GF2Basis()
-        if self._dimension:
+        if use_csr and hasattr(graph, "csr"):
             # CSR fast path for real graphs (views keep the dict oracle):
             # the staged kernel that serves the verdicts, run over every
-            # alive slot with full rows and this chord numbering read
-            # positionally, so the spanned subspace — and every
-            # downstream ``contains`` query — matches the oracle.
-            if use_csr and hasattr(graph, "csr"):
-                csr = graph.csr()
-                ids = csr.ids
-                chord = self._chords.chord_mask.get
-                amask = [
-                    [chord((a, ids[w]), 0) for w in row]
-                    for a, row in zip(ids, csr.adj)
-                ]
-                members = [i for i, live in enumerate(csr.alive) if live]
+            # alive slot in BFS order on sparse chord vectors.
+            csr = graph.csr()
+            chords = _SlotChords(csr)
+            self._chords: Union[_SlotChords, _ChordSpace] = chords
+            self._dimension = chords.nu
+            pivots: List[FrozenSet[int]] = []
+            if chords.nu:
                 __, pivots = csr.staged_closure_pivots(
-                    members, csr.adj, amask, tau, self._dimension
+                    chords.order,
+                    chords.rows,
+                    chords.vectors,
+                    tau,
+                    chords.nu,
+                    lead_of=max,
+                    zero=_NO_CHORD,
                 )
-                self._basis = GF2Basis.from_pivots(pivots)
-            else:
+            self._basis = GF2Basis.from_pivots(pivots, lead_of=max)
+        else:
+            self._chords = _ChordSpace(graph)
+            self._dimension = cycle_space_dimension(graph)
+            self._basis = GF2Basis()
+            if self._dimension:
                 self._stream_closures()
 
     def _stream_closures(self) -> None:
@@ -281,7 +364,8 @@ class ShortCycleSpan:
                 return False
         if not _edge_set_has_even_degrees(edges):
             return False
-        return self._basis.contains(self._chords.project_edges(edges))
+        vector = self._chords.project_edges(edges)
+        return vector is not None and self._basis.contains(vector)
 
     def contains_vertex_cycle(self, cycle: Sequence[int]) -> bool:
         edges = [

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from itertools import islice
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 
 class CSRGraph:
@@ -49,9 +49,10 @@ class CSRGraph:
     both GF(2) consumers: the local Definition 5 verdicts (a punctured
     k-ball's member rows, :meth:`span_connected_verdict`) and the
     whole-graph criterion (every alive slot's full row,
-    :class:`~repro.cycles.horton.ShortCycleSpan`).  Neither order of
-    enumeration depends on ids, so dead slots and non-monotone slots
-    are fine for both.
+    :class:`~repro.cycles.horton.ShortCycleSpan`), the former on int
+    chord masks, the latter on sparse frozenset chord vectors.  Neither
+    order of enumeration depends on ids, so dead slots and non-monotone
+    slots are fine for both.
     """
 
     __slots__ = (
@@ -364,19 +365,30 @@ class CSRGraph:
         amask,
         tau: int,
         target: int,
-    ) -> Tuple[int, List[int]]:
+        lead_of: Callable[[Any], int] = int.bit_length,
+        zero: Any = 0,
+    ) -> Tuple[int, List[Any]]:
         """Eliminate the cycles of length <= tau into a flat pivot list.
 
         ``mrows[u]`` is the sorted slot row of member ``u`` restricted to
         members and ``amask[u][i]`` the chord-space vector of edge
-        ``(u, mrows[u][i])`` (0 for tree edges); both are indexed by
-        slot, so a k-ball's dicts and the whole graph's ``adj`` plus a
-        per-slot mask list serve alike.  Returns ``(rank, pivots)``
-        where ``pivots[b]`` is the reduced row leading at bit ``b`` (0
-        when none), stopping as soon as the rank reaches ``target``.
-        The subspace reached is the span of all cycles of length <= tau
-        — a canonical function of the graph and the chord numbering —
-        so verdicts and ``contains`` queries agree with the dict oracle.
+        ``(u, mrows[u][i])`` (``zero`` for tree edges); both are indexed
+        by slot, so a k-ball's dicts and the whole graph's rows plus a
+        per-slot vector list serve alike.  Returns ``(rank, pivots)``
+        where ``pivots[lead]`` is the reduced row whose ``lead_of`` is
+        ``lead`` (falsy when none), stopping as soon as the rank reaches
+        ``target``.  The subspace reached is the span of all cycles of
+        length <= tau — a canonical function of the graph and the chord
+        numbering — so verdicts and ``contains`` queries agree with the
+        dict oracle.
+
+        The vector algebra is the caller's: any values closed under
+        ``^``, falsy exactly at ``zero``, hashable, with a ``lead_of``
+        in ``1..target`` that is distinct for rows in echelon form.
+        Verdicts pass int masks (``int.bit_length``: chord ``b`` is bit
+        ``b - 1``); the whole-graph criterion passes frozensets of chord
+        ids ``1..target`` with ``lead_of=max`` — a handful of ids per
+        reduced row instead of a ``target``-bit int.
 
         Staged enumeration, cheapest candidates first.  Girth-3 and
         girth-4 cycles are read straight off the sorted rows (triangle =
@@ -393,7 +405,7 @@ class CSRGraph:
         dense neighbourhoods usually reach full rank midway through the
         triangle stage.
         """
-        pivots = [0] * target
+        pivots = [0] * (target + 1)
         rank = 0
         stamp = self._stamp
         emask = self._acc  # scratch; stage 3 reinitialises before reuse
@@ -423,7 +435,7 @@ class CSRGraph:
                     if stamp[v] == tok:
                         vec = base ^ emask[v] ^ mwv
                         while vec:
-                            lead = vec.bit_length() - 1
+                            lead = lead_of(vec)
                             row = pivots[lead]
                             if not row:
                                 pivots[lead] = vec
@@ -468,7 +480,7 @@ class CSRGraph:
                         continue  # c0 ~ c
                     vec = m0 ^ m0w ^ mc ^ mcw
                     while vec:
-                        lead = vec.bit_length() - 1
+                        lead = lead_of(vec)
                         row = pivots[lead]
                         if not row:
                             pivots[lead] = vec
@@ -484,7 +496,7 @@ class CSRGraph:
         # per-root truncated BFS with XOR-accumulated chord masks.  A
         # closure with dx + dy <= 3 projects to a cycle of length <= 4,
         # already in the span stages 1-2 streamed, so it is skipped.
-        seen = {0}
+        seen = {zero}
         seen_add = seen.add
         cutoff = tau // 2
         budget = tau - 1
@@ -495,7 +507,7 @@ class CSRGraph:
             tok = self._token
             stamp[root] = tok
             dist[root] = 0
-            acc[root] = 0
+            acc[root] = zero
             reached = [root]
             frontier = [root]
             d = 0
@@ -522,7 +534,7 @@ class CSRGraph:
                             continue
                         seen_add(vec)
                         while vec:
-                            lead = vec.bit_length() - 1
+                            lead = lead_of(vec)
                             row = pivots[lead]
                             if not row:
                                 pivots[lead] = vec

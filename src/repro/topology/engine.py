@@ -154,13 +154,16 @@ class LocalTopologyEngine:
 
     def invalidate_all(self) -> None:
         """Drop every cached verdict (correct but expensive)."""
-        self.counters.invalidations += len(self._verdicts)
-        self._verdicts.clear()
+        self._drop_verdicts()
         if self.use_kernel:
             self._kernel = self.graph.csr()
             if self.tracer.enabled:
                 self._kernel.tracer = self.tracer
         self._version = self.graph.version
+
+    def _drop_verdicts(self) -> None:
+        self.counters.invalidations += len(self._verdicts)
+        self._verdicts.clear()
 
     # ------------------------------------------------------------------
     # Mutations
@@ -189,7 +192,7 @@ class LocalTopologyEngine:
 
     def delete_edge(self, u: int, v: int) -> None:
         self._sync()
-        self._verdicts.clear()
+        self._drop_verdicts()
         if self.use_kernel:
             self._kernel.delete_edge(u, v)
         else:
@@ -198,7 +201,7 @@ class LocalTopologyEngine:
 
     def add_edge(self, u: int, v: int) -> None:
         self._sync()
-        self._verdicts.clear()
+        self._drop_verdicts()
         if self.use_kernel:
             self._kernel.add_edge(u, v)
         else:

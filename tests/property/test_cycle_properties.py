@@ -16,6 +16,7 @@ from repro.cycles.cycle_space import (
 from repro.cycles.gf2 import GF2Basis
 from repro.cycles.horton import (
     ShortCycleSpan,
+    _SlotChords,
     horton_candidate_cycles,
     max_irreducible_cycle_bounded,
     minimum_cycle_basis,
@@ -201,3 +202,32 @@ class TestShortCycleSpanOracleParity:
             )
             edges = boundary_edge_sum(chosen)
             assert fast.contains_edges(edges) == oracle.contains_edges(edges)
+
+
+class TestOneKernelTwoAlgebras:
+    """Int masks and sparse frozensets run one elimination, step for step."""
+
+    @pytest.mark.parametrize("tau", [3, 4, 5, 6])
+    @given(graph=mutated_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_int_and_frozenset_unit_vectors_agree(self, tau, graph):
+        csr = graph.csr()
+        chords = _SlotChords(csr)
+        if not chords.nu:
+            return
+
+        def as_int(vec):
+            return sum(1 << (chord - 1) for chord in vec)
+
+        masks = [[as_int(vec) for vec in row] for row in chords.vectors]
+        int_rank, int_pivots = csr.staged_closure_pivots(
+            chords.order, chords.rows, masks, tau, chords.nu
+        )
+        set_rank, set_pivots = csr.staged_closure_pivots(
+            chords.order, chords.rows, chords.vectors, tau, chords.nu,
+            lead_of=max, zero=frozenset(),
+        )
+        assert int_rank == set_rank
+        leads = {lead for lead, row in enumerate(int_pivots) if row}
+        assert leads == {lead for lead, row in enumerate(set_pivots) if row}
+        assert [as_int(row) if row else 0 for row in set_pivots] == int_pivots

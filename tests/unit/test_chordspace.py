@@ -2,7 +2,7 @@
 
 
 from repro.cycles.cycle_space import cycle_space_dimension
-from repro.cycles.horton import _ChordSpace
+from repro.cycles.horton import ShortCycleSpan, _ChordSpace, _SlotChords
 from repro.network.graph import NetworkGraph
 from repro.network.topologies import cycle_graph
 
@@ -60,3 +60,29 @@ class TestChordSpace:
         cycle = [0, 1, 2]
         edges = [(0, 1), (1, 2), (2, 0)]
         assert chords.project_edges(edges) == chords.project_vertex_cycle(cycle)
+
+
+class TestSlotChords:
+    def test_nu_matches_cycle_space_dimension(self, k4, trigrid6):
+        two_parts = NetworkGraph(
+            range(8),
+            [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 7), (7, 4), (4, 6)],
+        )
+        for graph in (k4, trigrid6.graph, two_parts):
+            assert _SlotChords(graph.csr()).nu == cycle_space_dimension(graph)
+
+    def test_ids_count_up_from_one_and_tree_edges_are_empty(self, trigrid6):
+        chords = _SlotChords(trigrid6.graph.csr())
+        ids = sorted(c for row in chords.vectors for vec in row for c in vec)
+        # every chord id appears under both orientations of its edge
+        assert ids == sorted(2 * list(range(1, chords.nu + 1)))
+        empty = sum(not vec for row in chords.vectors for vec in row)
+        assert empty == 2 * (len(trigrid6.graph) - 1)
+
+    def test_edges_added_after_the_build_are_not_in_the_span(self):
+        graph = cycle_graph(6)
+        span = ShortCycleSpan(graph, 6)
+        assert span.contains_vertex_cycle(list(range(6)))
+        graph.add_edge(0, 3)
+        # the span describes the graph it was built on
+        assert not span.contains_vertex_cycle([0, 1, 2, 3])

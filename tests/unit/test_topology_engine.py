@@ -84,6 +84,23 @@ class TestEngineCaching:
         engine.deletable(5)
         assert engine.counters.deletability_tests == tests + 1
 
+    def test_edge_edits_count_every_dropped_verdict(self):
+        mesh = triangulated_grid(5, 5).graph
+        engine = LocalTopologyEngine(mesh, 4)
+        vertices = sorted(mesh.vertices())
+        for v in vertices:
+            engine.deletable(v)
+        u = vertices[12]
+        w = min(mesh.neighbors(u))
+        before = engine.counters.invalidations
+        engine.delete_edge(u, w)
+        assert engine.counters.invalidations == before + len(vertices)
+        for v in vertices[:7]:
+            engine.deletable(v)
+        before = engine.counters.invalidations
+        engine.add_edge(u, w)
+        assert engine.counters.invalidations == before + 7
+
     def test_external_mutation_detected_by_version(self):
         mesh = triangulated_grid(4, 4).graph
         engine = LocalTopologyEngine(mesh, 4)
